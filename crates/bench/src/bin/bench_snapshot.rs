@@ -18,8 +18,8 @@
 //! sequence, the cache hit rate, and heap allocations per solve from a
 //! counting global allocator.
 //!
-//! With `--fleet`, it instead benchmarks the work-stealing epoch
-//! scheduler end to end and writes `BENCH_fleet.json`
+//! With `--fleet`, it instead benchmarks the fork-join epoch loop end
+//! to end and writes `BENCH_fleet.json`
 //! (`--fleet-out PATH`) with three measurements:
 //!
 //! * the headline fleet: a 1,000-rack (`--racks N`) one-day fleet
@@ -340,7 +340,7 @@ fn validate_snapshot(path: &PathBuf) -> Result<(), String> {
         gate_floor("cache_hit_rate", hit_rate, 0.5)?;
     }
     if is_fleet {
-        // Wall-clock scaling: lock-step work stealing must actually
+        // Wall-clock scaling: lock-step fork-join epochs must actually
         // scale — but the floor only binds when the recording machine
         // had the cores to show it, and the snapshot must say so
         // honestly via `scaling_gated`, so a floor that was never
@@ -495,7 +495,7 @@ fn bench_sessions(args: &Args, cores: usize) -> (f64, f64, f64) {
     (secs, peak_delta, cap)
 }
 
-/// Benchmarks the work-stealing epoch scheduler end to end: the
+/// Benchmarks the fork-join epoch loop end to end: the
 /// `racks`-rack headline fleet at 1, 2, 4, and 8 workers, the
 /// `sessions`-session daemon point on the bounded pool, and the
 /// homogeneous `racks100k`-rack memory point, writing the

@@ -1,7 +1,5 @@
 //! Controller configuration.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::CoreError;
 use crate::types::{Ratio, SimDuration, Watts};
 
@@ -19,7 +17,7 @@ use crate::types::{Ratio, SimDuration, Watts};
 /// cfg.validate()?;
 /// # Ok::<(), greenhetero_core::error::CoreError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ControllerConfig {
     /// Scheduling epoch length (paper: 15 minutes).
     pub epoch_len: SimDuration,
@@ -53,8 +51,6 @@ pub struct ControllerConfig {
     /// Run the observe-only grid cross-check every this many solves on
     /// the warm path; 0 disables sampling.
     pub solver_cross_check_period: u64,
-    /// Width of the allocation cache's budget lookup buckets.
-    pub solver_cache_budget_quantum: Watts,
     /// Serve daemon: epoch-step panics a session survives before it is
     /// quarantined. `0` quarantines on the first panic.
     pub serve_restart_budget: u32,
@@ -85,7 +81,6 @@ impl Default for ControllerConfig {
             solver_warm_start: true,
             solver_warm_budget_delta: Ratio::saturating(0.05),
             solver_cross_check_period: 64,
-            solver_cache_budget_quantum: Watts::new(1.0),
             serve_restart_budget: 3,
             serve_backoff_base_ms: 50,
             serve_backoff_cap_ms: 2_000,
@@ -140,12 +135,6 @@ impl ControllerConfig {
         if self.holt_retrain_epochs == 0 {
             return fail("holt retrain interval must be at least 1 epoch".into());
         }
-        let quantum = self.solver_cache_budget_quantum.value();
-        if !(quantum > 0.0 && quantum.is_finite()) {
-            return fail(format!(
-                "solver cache budget quantum must be positive and finite, got {quantum}"
-            ));
-        }
         if self.serve_backoff_base_ms == 0 {
             return fail("serve restart backoff base must be at least 1 ms".into());
         }
@@ -178,19 +167,12 @@ mod tests {
     }
 
     #[test]
-    fn solver_fast_path_defaults_and_validation() {
+    fn solver_fast_path_defaults() {
         let cfg = ControllerConfig::default();
         assert_eq!(cfg.solver_cache_capacity, 64);
         assert!(cfg.solver_warm_start);
         assert!((cfg.solver_warm_budget_delta.value() - 0.05).abs() < 1e-12);
         assert_eq!(cfg.solver_cross_check_period, 64);
-        assert_eq!(cfg.solver_cache_budget_quantum, Watts::new(1.0));
-
-        let bad = ControllerConfig {
-            solver_cache_budget_quantum: Watts::ZERO,
-            ..ControllerConfig::default()
-        };
-        assert!(bad.validate().is_err());
     }
 
     #[test]

@@ -388,7 +388,6 @@ impl Controller {
             warm_start: config.solver_warm_start,
             warm_budget_delta: config.solver_warm_budget_delta,
             cross_check_period: config.solver_cross_check_period,
-            budget_quantum: config.solver_cache_budget_quantum,
         });
         Ok(Controller {
             config,

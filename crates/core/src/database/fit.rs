@@ -10,12 +10,10 @@
 //! the raw power domain. Raw watt values in the hundreds would otherwise
 //! produce badly conditioned `P⁴` sums.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::CoreError;
 
 /// Coefficients of `y = l + m·x + n·x²` in the raw (watt) domain.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quadratic {
     /// Constant term `l`.
     pub l: f64,
@@ -60,7 +58,7 @@ impl Quadratic {
 }
 
 /// A fitted curve together with its fit quality.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FitResult {
     /// The fitted coefficients.
     pub curve: Quadratic,

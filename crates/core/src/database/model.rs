@@ -1,7 +1,5 @@
 //! The performance projection `Perf = f(Power)` used by the solver.
 
-use serde::{Deserialize, Serialize};
-
 use crate::database::fit::Quadratic;
 use crate::types::{PowerRange, Throughput, Watts};
 
@@ -30,7 +28,7 @@ use crate::types::{PowerRange, Throughput, Watts};
 /// assert_eq!(model.eval(Watts::new(200.0)), model.eval(Watts::new(81.0)));
 /// # Ok::<(), greenhetero_core::error::CoreError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfModel {
     curve: Quadratic,
     range: PowerRange,

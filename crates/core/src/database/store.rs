@@ -10,8 +10,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::database::fit::{fit_quadratic, FitResult};
 use crate::database::model::PerfModel;
 use crate::error::CoreError;
@@ -19,7 +17,7 @@ use crate::types::{ConfigId, PowerRange, SimTime, Throughput, Watts, WorkloadId}
 
 /// One profiling observation: the power a server drew and the performance
 /// it delivered.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProfileSample {
     /// Observed power draw.
     pub power: Watts,
@@ -38,7 +36,7 @@ impl ProfileSample {
 }
 
 /// A database entry: accumulated samples plus the current fitted model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProfileEntry {
     samples: Vec<ProfileSample>,
     model: PerfModel,
@@ -129,7 +127,7 @@ impl ProfileEntry {
 /// assert!(model.eval(Watts::new(81.0)) > model.eval(Watts::new(55.0)));
 /// # Ok::<(), greenhetero_core::error::CoreError>(())
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PerfDatabase {
     // Ordered map on purpose: `iter()` feeds checkpoint/report paths, and a
     // hash map's seeded order would make those outputs differ across runs.

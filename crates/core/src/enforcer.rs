@@ -11,14 +11,12 @@
 //!   and maximum values of the power range, and any value between the power
 //!   limits is linearly scaled to a position in the state set `S_N`".
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::CoreError;
 use crate::sources::SourcePlan;
 use crate::types::Watts;
 
 /// One entry of a server's ordered power-state set `S_N`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerState {
     /// Human-readable label ("sleep", "1.2 GHz", …).
     pub label: String,
@@ -28,7 +26,7 @@ pub struct PowerState {
 
 /// A server's ordered power-state set, from the lowest-power state to the
 /// highest (low-power states first, then ascending DVFS levels).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerStateSet {
     states: Vec<PowerState>,
 }
@@ -110,14 +108,14 @@ impl PowerStateSet {
 }
 
 /// A command for one server: enter the state at `state_index`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpcCommand {
     /// Index into the server's [`PowerStateSet`].
     pub state_index: usize,
 }
 
 /// The Server Power Controller: maps allocations to state commands.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Spc {
     /// When `true` (the default), the SPC picks the highest state that fits
     /// under the allocation (never exceeding the power cap). When `false`,
@@ -150,7 +148,7 @@ impl Spc {
 }
 
 /// A switching command for the PDU/ATS, produced by the PSC.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PscCommand {
     /// Route this many watts of renewable supply to the load bus.
     RenewableToLoad(Watts),
@@ -166,7 +164,7 @@ pub enum PscCommand {
 
 /// The Power Source Controller: compiles a [`SourcePlan`] into an ordered
 /// list of switching commands.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Psc;
 
 impl Psc {

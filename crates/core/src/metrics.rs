@@ -26,8 +26,6 @@
 //! # Ok::<(), greenhetero_core::error::CoreError>(())
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use crate::types::{PowerRange, Ratio, Throughput, Watts};
 
 /// Computes the power a server productively consumes out of an allocation.
@@ -67,7 +65,7 @@ pub fn productive_power(allocated: Watts, range: PowerRange) -> Watts {
 ///
 /// [`record`]: EpuAccumulator::record
 /// [`record_server`]: EpuAccumulator::record_server
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EpuAccumulator {
     productive: f64,
     supplied: f64,
@@ -196,7 +194,7 @@ pub fn geometric_mean(values: &[f64]) -> Option<f64> {
 }
 
 /// Summary statistics over a series of per-epoch values.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeriesSummary {
     /// Arithmetic mean.
     pub mean: f64,

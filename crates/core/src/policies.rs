@@ -14,8 +14,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::CoreError;
 use crate::solver::{
     solve, solve_uniform, solve_with_engine, Allocation, AllocationProblem, ShareLattice,
@@ -102,7 +100,7 @@ pub trait AllocationPolicy: fmt::Debug + Send {
 }
 
 /// Identifies the five policies of Table III.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     /// Equal watts to every server, ignoring heterogeneity.
     Uniform,

@@ -7,14 +7,12 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::CoreError;
 use crate::predictor::Predictor;
 
 /// Predicts that the next value equals the last observed value
 /// (the "naive" or persistence forecast).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LastValue {
     last: Option<f64>,
     count: usize,
@@ -44,7 +42,7 @@ impl Predictor for LastValue {
 }
 
 /// Predicts the mean of the most recent `window` observations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MovingAverage {
     window: usize,
     buffer: VecDeque<f64>,
@@ -101,7 +99,7 @@ impl Predictor for MovingAverage {
 /// Predicts the value observed one season (e.g. one day of epochs) ago —
 /// the natural baseline for strongly diurnal series like solar output.
 /// Falls back to the last observed value until a full season has passed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SeasonalNaive {
     period: usize,
     history: VecDeque<f64>,

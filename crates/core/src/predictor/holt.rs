@@ -1,7 +1,5 @@
 //! Holt double exponential smoothing (the paper's Eqs. 2–4).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::CoreError;
 use crate::predictor::Predictor;
 
@@ -32,14 +30,14 @@ use crate::predictor::Predictor;
 /// assert!(holt.predict()? > 520.0);   // trend picked up
 /// # Ok::<(), greenhetero_core::error::CoreError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HoltPredictor {
     alpha: f64,
     beta: f64,
     state: State,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum State {
     /// No observations yet.
     Empty,

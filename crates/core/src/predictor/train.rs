@@ -7,13 +7,11 @@
 //! refinement around the best coarse cell — derivative-free, robust, and
 //! fast enough to re-run every few hours of simulated time.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::CoreError;
 use crate::predictor::{sum_squared_error, HoltPredictor};
 
 /// A trained (α, β) pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HoltParams {
     /// Level smoothing parameter.
     pub alpha: f64,
@@ -51,7 +49,7 @@ impl Default for HoltParams {
 }
 
 /// Result of a training run: the chosen parameters and their training error.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainOutcome {
     /// The parameters minimizing the training SSE.
     pub params: HoltParams,

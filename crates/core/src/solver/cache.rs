@@ -1,5 +1,5 @@
-//! The solver fast path: epoch-to-epoch warm starts and a quantized
-//! allocation cache (DESIGN.md §11).
+//! The solver fast path: epoch-to-epoch warm starts and an allocation
+//! cache (DESIGN.md §11).
 //!
 //! Consecutive scheduling epochs differ only slightly — solar ramps a few
 //! percent per 15-minute epoch and the fitted curves change only on the
@@ -18,17 +18,20 @@
 //!    exact engine cannot run, a short grid refinement seeded at the
 //!    previous allocation replaces the full lattice;
 //! 3. **Cache** — cold solves are remembered in a small LRU keyed by
-//!    (quantized budget bucket, group digest); a hit revalidates the
-//!    stored problem bit-for-bit against the live one and falls back to a
-//!    cold solve on any mismatch, so a hit is always bit-identical to the
+//!    (exact budget bits, group digest); a hit revalidates the stored
+//!    problem bit-for-bit against the live one and falls back to a cold
+//!    solve on any mismatch, so a hit is always bit-identical to the
 //!    solve it replaced.
 //!
 //! A fourth, *cross-controller* layer can be attached on top:
 //! [`SharedSolveCache`] is a sharded, thread-safe store keyed the same way
-//! (model fingerprints via the group digest, quantized budget bucket) with
-//! the same full-equality revalidation on hit. Racks in a fleet that face
+//! (model fingerprints via the group digest, exact budget bits) with the
+//! same full-equality revalidation on hit. Racks in a fleet that face
 //! bit-identical problems — common once noise is low and models converge —
-//! pay one cold solve and N bit-identical reuses per epoch (DESIGN.md §14).
+//! pay one cold solve and N bit-identical reuses per epoch (DESIGN.md §14):
+//! misses are single-flight, so a controller that looks up a problem
+//! another controller is solving right now waits for that answer instead
+//! of solving it again.
 //! The shared layer only ever *stands in for* an engine call the local
 //! layers had already committed to: it never changes which path is taken,
 //! and a shared hit is remembered locally exactly as the solve it replaced
@@ -43,14 +46,14 @@
 //! `crates/sim/tests/fleet.rs` prove it).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use crate::error::CoreError;
 use crate::solver::grid::{solve_grid_seeded, solve_grid_with};
 use crate::solver::problem::{Allocation, AllocationProblem};
 use crate::solver::scratch::SolverScratch;
 use crate::solver::{solve_exact_with, solve_with_engine_scratch, SolveEngine};
-use crate::types::{Ratio, Watts};
+use crate::types::Ratio;
 
 /// Tunables of the solver fast path; defaults mirror
 /// [`ControllerConfig`](crate::config::ControllerConfig).
@@ -66,8 +69,6 @@ pub struct FastPathConfig {
     /// Run the observe-only grid cross-check every this many solves;
     /// 0 disables sampling.
     pub cross_check_period: u64,
-    /// Width of the cache's budget lookup buckets.
-    pub budget_quantum: Watts,
 }
 
 impl Default for FastPathConfig {
@@ -77,7 +78,6 @@ impl Default for FastPathConfig {
             warm_start: true,
             warm_budget_delta: Ratio::saturating(0.05),
             cross_check_period: 64,
-            budget_quantum: Watts::new(1.0),
         }
     }
 }
@@ -123,13 +123,28 @@ struct LastSolve {
     engine: SolveEngine,
 }
 
-/// One cached cold solve. `problem` is kept whole: the digest narrows the
-/// lookup, equality on the full problem (budget bits included) is what
-/// authorizes reuse.
+/// What both caches narrow a lookup by before full-equality
+/// revalidation: the exact budget bits and the group-layout digest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ProblemKey {
+    budget_bits: u64,
+    digest: u64,
+}
+
+impl ProblemKey {
+    fn of(problem: &AllocationProblem) -> Self {
+        ProblemKey {
+            budget_bits: problem.budget().value().to_bits(),
+            digest: problem_digest(problem),
+        }
+    }
+}
+
+/// One cached cold solve. `problem` is kept whole: the key narrows the
+/// lookup, equality on the full problem is what authorizes reuse.
 #[derive(Debug, Clone)]
 struct CacheEntry {
-    bucket: i64,
-    digest: u64,
+    key: ProblemKey,
     problem: AllocationProblem,
     allocation: Allocation,
     engine: SolveEngine,
@@ -157,17 +172,90 @@ enum SolveKind {
 }
 
 /// One shared solve. Like the local cache, the full problem is kept:
-/// digest and bucket narrow the lookup, bit-for-bit equality authorizes
-/// reuse.
+/// the key narrows the lookup, bit-for-bit equality authorizes reuse.
 #[derive(Debug)]
 struct SharedEntry {
     kind: SolveKind,
-    bucket: i64,
-    digest: u64,
+    key: ProblemKey,
     problem: AllocationProblem,
     allocation: Allocation,
     engine: SolveEngine,
     stamp: u64,
+}
+
+/// A miss some controller is solving right now. Identical lookups wait
+/// for it to be released instead of solving the same problem again.
+#[derive(Debug)]
+struct InFlight {
+    ticket: u64,
+    kind: SolveKind,
+    key: ProblemKey,
+    problem: AllocationProblem,
+}
+
+/// What one shard guards: its entries and its in-flight misses.
+#[derive(Debug, Default)]
+struct ShardState {
+    entries: Vec<SharedEntry>,
+    in_flight: Vec<InFlight>,
+}
+
+/// One lock domain of a [`SharedSolveCache`]; `released` is signalled
+/// whenever an in-flight miss on this shard is published or abandoned.
+#[derive(Debug, Default)]
+struct Shard {
+    state: Mutex<ShardState>,
+    released: Condvar,
+}
+
+/// The outcome of a shared-cache lookup.
+#[derive(Debug)]
+enum SharedLookup {
+    /// A revalidated stored answer.
+    Hit((Allocation, SolveEngine)),
+    /// No usable entry: the caller now owns the in-flight claim.
+    Miss(SolveClaim),
+}
+
+/// The right to solve one missed problem. Every identical lookup waits
+/// until the claim is released: by [`publish`](Self::publish), or by drop
+/// on every other exit (solver error, an answer that must not be shared,
+/// unwinding). A controller holds at most one claim and makes no other
+/// lookup while holding it, so waits cannot form a cycle.
+#[derive(Debug)]
+struct SolveClaim {
+    cache: Arc<SharedSolveCache>,
+    shard: usize,
+    ticket: Option<u64>,
+}
+
+impl SolveClaim {
+    /// Stores the solved answer and releases the claim.
+    fn publish(mut self, allocation: &Allocation, engine: SolveEngine) {
+        self.release(Some((allocation, engine)));
+    }
+
+    fn release(&mut self, answer: Option<(&Allocation, SolveEngine)>) {
+        let Some(ticket) = self.ticket.take() else {
+            return;
+        };
+        let shard = &self.cache.shards[self.shard];
+        let mut state = shard.state.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(pos) = state.in_flight.iter().position(|f| f.ticket == ticket) {
+            let claimed = state.in_flight.swap_remove(pos);
+            if let Some((allocation, engine)) = answer {
+                self.cache.store(&mut state, claimed, allocation, engine);
+            }
+        }
+        drop(state);
+        shard.released.notify_all();
+    }
+}
+
+impl Drop for SolveClaim {
+    fn drop(&mut self) {
+        self.release(None);
+    }
 }
 
 /// Snapshot of a [`SharedSolveCache`]'s lifetime counters.
@@ -184,7 +272,7 @@ pub struct SharedSolveStats {
     /// Lookups that found no entry under the key.
     pub misses: u64,
     /// Lookups that found the key but failed full-equality revalidation
-    /// (digest collision or same-bucket budget neighbor).
+    /// (a group-digest collision).
     pub revalidation_misses: u64,
     /// Solves published into the cache.
     pub insertions: u64,
@@ -209,11 +297,12 @@ impl SharedSolveStats {
 }
 
 /// A thread-safe solve cache shared across controllers — the fleet-wide
-/// batched-solve substrate. Keyed exactly like the local LRU (quantized
-/// budget bucket + group digest over configs, counts, and model
+/// batched-solve substrate. Keyed exactly like the local LRU (exact
+/// budget bits + group digest over configs, counts, and model
 /// fingerprints) plus the engine-path tag, and revalidated by full problem
 /// equality on every hit, so a hit is bit-identical to the engine call it
-/// replaces.
+/// replaces. Misses are single-flight: while one controller solves a
+/// problem, identical lookups wait for its answer.
 ///
 /// Attaching or resizing this cache never changes any controller's output:
 /// it only substitutes bit-identical answers for redundant engine calls.
@@ -221,7 +310,7 @@ impl SharedSolveStats {
 /// are surfaced only as run provenance and daemon metrics.
 #[derive(Debug)]
 pub struct SharedSolveCache {
-    shards: Vec<Mutex<Vec<SharedEntry>>>,
+    shards: Vec<Shard>,
     shard_capacity: usize,
     clock: AtomicU64,
     hits: AtomicU64,
@@ -238,7 +327,7 @@ impl SharedSolveCache {
     pub fn new(capacity: usize) -> Self {
         let shard_capacity = capacity.div_ceil(SHARED_SHARDS).max(1);
         SharedSolveCache {
-            shards: (0..SHARED_SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
+            shards: (0..SHARED_SHARDS).map(|_| Shard::default()).collect(),
             shard_capacity,
             clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -260,7 +349,13 @@ impl SharedSolveCache {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).len())
+            .map(|s| {
+                s.state
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .entries
+                    .len()
+            })
             .sum()
     }
 
@@ -282,86 +377,92 @@ impl SharedSolveCache {
         }
     }
 
-    fn shard(&self, digest: u64) -> &Mutex<Vec<SharedEntry>> {
-        &self.shards[(digest as usize) % self.shards.len()]
-    }
-
     fn next_stamp(&self) -> u64 {
         self.clock.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// Returns the stored answer for `problem` under `kind` if one exists
-    /// and survives full-equality + feasibility revalidation.
-    fn lookup(
-        &self,
-        kind: SolveKind,
-        bucket: i64,
-        digest: u64,
-        problem: &AllocationProblem,
-    ) -> Option<(Allocation, SolveEngine)> {
-        let mut entries = self
-            .shard(digest)
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let mut collided = false;
-        for e in entries.iter_mut() {
-            if e.kind == kind && e.bucket == bucket && e.digest == digest {
-                if e.problem == *problem && e.problem.is_feasible(&e.allocation.per_server) {
-                    e.stamp = self.next_stamp();
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Some((e.allocation.clone(), e.engine));
+    /// and survives full-equality + feasibility revalidation. Otherwise
+    /// waits while an identical problem is in flight, and on a miss
+    /// registers the caller's claim to solve it.
+    fn lookup(self: &Arc<Self>, kind: SolveKind, problem: &AllocationProblem) -> SharedLookup {
+        let key = ProblemKey::of(problem);
+        let index = (key.digest as usize) % self.shards.len();
+        let shard = &self.shards[index];
+        let mut state = shard.state.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            let mut collided = false;
+            for e in state.entries.iter_mut() {
+                if e.kind == kind && e.key == key {
+                    if e.problem == *problem && e.problem.is_feasible(&e.allocation.per_server) {
+                        e.stamp = self.next_stamp();
+                        self.hits.fetch_add(1, Ordering::Relaxed);
+                        return SharedLookup::Hit((e.allocation.clone(), e.engine));
+                    }
+                    collided = true;
                 }
-                collided = true;
             }
+            let solving = state
+                .in_flight
+                .iter()
+                .any(|f| f.kind == kind && f.key == key && f.problem == *problem);
+            if !solving {
+                if collided {
+                    self.revalidation_misses.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    self.misses.fetch_add(1, Ordering::Relaxed);
+                }
+                // Stamps are unique, so they double as claim tickets.
+                let ticket = self.next_stamp();
+                state.in_flight.push(InFlight {
+                    ticket,
+                    kind,
+                    key,
+                    problem: problem.clone(),
+                });
+                return SharedLookup::Miss(SolveClaim {
+                    cache: Arc::clone(self),
+                    shard: index,
+                    ticket: Some(ticket),
+                });
+            }
+            state = shard
+                .released
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
-        drop(entries);
-        if collided {
-            self.revalidation_misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        None
     }
 
-    /// Publishes a freshly computed answer. If another controller raced us
-    /// to the same problem the existing entry is kept (the answers are
-    /// bit-identical by construction) and only its stamp refreshes.
-    fn insert(
+    /// Stores a claimed problem's answer in its shard, evicting the
+    /// stalest entry at capacity. The claim guarantees no other
+    /// controller published the same problem meanwhile.
+    fn store(
         &self,
-        kind: SolveKind,
-        bucket: i64,
-        digest: u64,
-        problem: &AllocationProblem,
+        state: &mut ShardState,
+        claimed: InFlight,
         allocation: &Allocation,
         engine: SolveEngine,
     ) {
-        let mut entries = self
-            .shard(digest)
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some(existing) = entries.iter_mut().find(|e| {
-            e.kind == kind && e.bucket == bucket && e.digest == digest && e.problem == *problem
-        }) {
-            existing.stamp = self.next_stamp();
-            return;
-        }
-        if entries.len() >= self.shard_capacity {
-            if let Some(victim) = entries
+        let InFlight {
+            kind, key, problem, ..
+        } = claimed;
+        if state.entries.len() >= self.shard_capacity {
+            if let Some(victim) = state
+                .entries
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, e)| e.stamp)
                 .map(|(i, _)| i)
             {
-                entries.swap_remove(victim);
+                state.entries.swap_remove(victim);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
         let stamp = self.next_stamp();
-        entries.push(SharedEntry {
+        state.entries.push(SharedEntry {
             kind,
-            bucket,
-            digest,
-            problem: problem.clone(),
+            key,
+            problem,
             allocation: allocation.clone(),
             engine,
             stamp,
@@ -491,39 +592,7 @@ impl SolverFastPath {
         let (allocation, engine) = match plan {
             Plan::Warm => {
                 self.stats.warm_starts += 1;
-                // A shared warm-exact hit stands in for `solve_exact_with`
-                // below: same bits, and only possible for problems where
-                // the exact engine succeeds (it stored the entry).
-                let answer = match self.shared_lookup(SolveKind::WarmExact, problem) {
-                    Some(hit) => hit,
-                    None => match solve_exact_with(problem, &mut self.scratch) {
-                        Ok(exact) => {
-                            self.shared_insert(
-                                SolveKind::WarmExact,
-                                problem,
-                                &exact,
-                                SolveEngine::Exact,
-                            );
-                            (exact, SolveEngine::Exact)
-                        }
-                        Err(CoreError::InvalidConfig { .. }) => {
-                            // Too many groups for the exact engine: refine the
-                            // grid locally around the previous allocation.
-                            // Seeded answers depend on *this rack's* history,
-                            // so they are never published to the shared cache.
-                            let seeded = match &self.last {
-                                Some(last) => solve_grid_seeded(
-                                    problem,
-                                    &last.allocation.per_server,
-                                    &mut self.scratch,
-                                ),
-                                None => solve_grid_with(problem, &mut self.scratch),
-                            };
-                            (seeded, SolveEngine::Grid)
-                        }
-                        Err(other) => return Err(other),
-                    },
-                };
+                let answer = self.warm_solve(problem)?;
                 self.maybe_cross_check(problem, &answer.0, answer.1);
                 answer
             }
@@ -538,6 +607,46 @@ impl SolverFastPath {
         Ok((allocation, engine))
     }
 
+    /// The warm path: the exact engine alone, or a grid refinement seeded
+    /// at the previous allocation when the exact engine cannot run.
+    fn warm_solve(
+        &mut self,
+        problem: &AllocationProblem,
+    ) -> Result<(Allocation, SolveEngine), CoreError> {
+        // A shared warm-exact hit stands in for `solve_exact_with` below:
+        // same bits, and only possible for problems where the exact
+        // engine succeeds (it stored the entry).
+        let claim = match self.shared_lookup(SolveKind::WarmExact, problem) {
+            Some(SharedLookup::Hit(hit)) => return Ok(hit),
+            Some(SharedLookup::Miss(claim)) => Some(claim),
+            None => None,
+        };
+        match solve_exact_with(problem, &mut self.scratch) {
+            Ok(exact) => {
+                if let Some(claim) = claim {
+                    claim.publish(&exact, SolveEngine::Exact);
+                }
+                Ok((exact, SolveEngine::Exact))
+            }
+            Err(CoreError::InvalidConfig { .. }) => {
+                // Too many groups for the exact engine: refine the grid
+                // locally around the previous allocation. Seeded answers
+                // depend on *this rack's* history, so they are never
+                // published; releasing the claim first lets waiters on
+                // the same problem find that out for themselves.
+                drop(claim);
+                let seeded = match &self.last {
+                    Some(last) => {
+                        solve_grid_seeded(problem, &last.allocation.per_server, &mut self.scratch)
+                    }
+                    None => solve_grid_with(problem, &mut self.scratch),
+                };
+                Ok((seeded, SolveEngine::Grid))
+            }
+            Err(other) => Err(other),
+        }
+    }
+
     /// The cold path: consult the cache, else run the classic
     /// exact-plus-grid solve and remember the answer.
     fn cold_solve(
@@ -545,14 +654,12 @@ impl SolverFastPath {
         problem: &AllocationProblem,
     ) -> Result<(Allocation, SolveEngine), CoreError> {
         let caching = self.config.cache_capacity > 0;
-        let bucket = budget_bucket(problem.budget(), self.config.budget_quantum);
-        let digest = problem_digest(problem);
+        let key = ProblemKey::of(problem);
         if caching {
             let found = self.cache.iter_mut().find(|e| {
-                e.bucket == bucket && e.digest == digest
-                // Revalidation: the stored problem (live budget bits and
-                // all) must equal the incoming one; a digest collision or
-                // a same-bucket different-budget neighbor is a miss.
+                e.key == key
+                // Revalidation: the stored problem must equal the
+                // incoming one; a digest collision is a miss.
                 && e.problem == *problem
                 && e.problem.is_feasible(&e.allocation.per_server)
             });
@@ -570,17 +677,23 @@ impl SolverFastPath {
         // have been, so the local LRU state, counters, and every future
         // decision evolve bit-identically with the shared cache attached,
         // detached, or resized.
-        if let Some(hit) = self.shared_lookup(SolveKind::Cold, problem) {
-            if caching {
-                self.remember(bucket, digest, problem, &hit.0, hit.1);
+        let claim = match self.shared_lookup(SolveKind::Cold, problem) {
+            Some(SharedLookup::Hit(hit)) => {
+                if caching {
+                    self.remember(key, problem, &hit.0, hit.1);
+                }
+                return Ok(hit);
             }
-            return Ok(hit);
-        }
+            Some(SharedLookup::Miss(claim)) => Some(claim),
+            None => None,
+        };
 
         let (allocation, engine) = solve_with_engine_scratch(problem, &mut self.scratch)?;
-        self.shared_insert(SolveKind::Cold, problem, &allocation, engine);
+        if let Some(claim) = claim {
+            claim.publish(&allocation, engine);
+        }
         if caching {
-            self.remember(bucket, digest, problem, &allocation, engine);
+            self.remember(key, problem, &allocation, engine);
         }
         Ok((allocation, engine))
     }
@@ -590,8 +703,7 @@ impl SolverFastPath {
     /// engine solves — local state must not see the difference.
     fn remember(
         &mut self,
-        bucket: i64,
-        digest: u64,
+        key: ProblemKey,
         problem: &AllocationProblem,
         allocation: &Allocation,
         engine: SolveEngine,
@@ -611,8 +723,7 @@ impl SolverFastPath {
         }
         self.clock += 1;
         self.cache.push(CacheEntry {
-            bucket,
-            digest,
+            key,
             problem: problem.clone(),
             allocation: allocation.clone(),
             engine,
@@ -620,33 +731,9 @@ impl SolverFastPath {
         });
     }
 
-    /// Shared-cache lookup under this fast path's quantum; no-op `None`
-    /// when no shared cache is attached.
-    fn shared_lookup(
-        &self,
-        kind: SolveKind,
-        problem: &AllocationProblem,
-    ) -> Option<(Allocation, SolveEngine)> {
-        let shared = self.shared.as_ref()?;
-        let bucket = budget_bucket(problem.budget(), self.config.budget_quantum);
-        let digest = problem_digest(problem);
-        shared.lookup(kind, bucket, digest, problem)
-    }
-
-    /// Publishes a freshly computed answer to the shared cache, if one is
-    /// attached.
-    fn shared_insert(
-        &self,
-        kind: SolveKind,
-        problem: &AllocationProblem,
-        allocation: &Allocation,
-        engine: SolveEngine,
-    ) {
-        if let Some(shared) = &self.shared {
-            let bucket = budget_bucket(problem.budget(), self.config.budget_quantum);
-            let digest = problem_digest(problem);
-            shared.insert(kind, bucket, digest, problem, allocation, engine);
-        }
+    /// Shared-cache lookup; `None` when no shared cache is attached.
+    fn shared_lookup(&self, kind: SolveKind, problem: &AllocationProblem) -> Option<SharedLookup> {
+        Some(self.shared.as_ref()?.lookup(kind, problem))
     }
 
     /// The sampled, observe-only cross-check: every Nth solve that skipped
@@ -690,15 +777,9 @@ fn warm_eligible(prev: &AllocationProblem, cur: &AllocationProblem, max_delta: R
     (cb - pb).abs() <= max_delta.value() * pb.abs().max(1e-9)
 }
 
-/// The cache lookup bucket: budgets quantized to `quantum`-wide bins.
-fn budget_bucket(budget: Watts, quantum: Watts) -> i64 {
-    let q = quantum.value().max(1e-9);
-    (budget.value() / q).floor() as i64
-}
-
 /// FNV-1a digest of the group layout: length, then per group (config,
 /// count, model fingerprint). Budget is deliberately excluded — the
-/// bucket carries it.
+/// key carries its exact bits.
 fn problem_digest(problem: &AllocationProblem) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     let mut mix = |word: u64| {
@@ -721,7 +802,7 @@ mod tests {
     use super::*;
     use crate::database::{PerfModel, Quadratic};
     use crate::solver::{solve_with_engine, ServerGroup};
-    use crate::types::{ConfigId, PowerRange};
+    use crate::types::{ConfigId, PowerRange, Watts};
 
     fn group(id: u32, count: u32, idle: f64, peak: f64, m: f64, n: f64) -> ServerGroup {
         ServerGroup::new(
@@ -969,57 +1050,111 @@ mod tests {
         );
     }
 
-    #[test]
-    fn shared_cache_revalidates_and_evicts() {
-        let shared = SharedSolveCache::new(1); // 1 entry per shard
-        let p1 = problem(500.0);
-        let p2 = problem(800.0);
-        let (a1, e1) = solve_with_engine(&p1).unwrap();
-        let bucket1 = budget_bucket(p1.budget(), Watts::new(1.0));
-        let digest = problem_digest(&p1); // layout-only: same for p1 and p2
-        shared.insert(SolveKind::Cold, bucket1, digest, &p1, &a1, e1);
-        assert_eq!(shared.len(), 1);
-
-        // Same key fields, different problem bits → revalidation miss.
-        assert!(shared
-            .lookup(SolveKind::Cold, bucket1, digest, &p2)
-            .is_none());
-        // Path tag mismatch → plain miss, not a revalidation miss.
-        assert!(shared
-            .lookup(SolveKind::WarmExact, bucket1, digest, &p1)
-            .is_none());
-        let stats = shared.stats();
-        assert_eq!(stats.revalidation_misses, 1);
-        assert_eq!(stats.misses, 1);
-
-        // True hit returns the stored bits.
-        let (hit, engine) = shared
-            .lookup(SolveKind::Cold, bucket1, digest, &p1)
-            .expect("revalidated hit");
-        assert_eq!(hit, a1);
-        assert_eq!(engine, e1);
-
-        // A second insert into the same (full) shard evicts the first.
-        let bucket2 = budget_bucket(p2.budget(), Watts::new(1.0));
-        let (a2, e2) = solve_with_engine(&p2).unwrap();
-        shared.insert(SolveKind::Cold, bucket2, digest, &p2, &a2, e2);
-        assert_eq!(shared.stats().evictions, 1);
-        assert!(shared
-            .lookup(SolveKind::Cold, bucket1, digest, &p1)
-            .is_none());
+    /// Publishes `p`'s cold answer through a claim, as a controller would.
+    fn publish_cold(shared: &Arc<SharedSolveCache>, p: &AllocationProblem) -> Allocation {
+        let (allocation, engine) = solve_with_engine(p).unwrap();
+        match shared.lookup(SolveKind::Cold, p) {
+            SharedLookup::Miss(claim) => claim.publish(&allocation, engine),
+            SharedLookup::Hit(_) => panic!("expected a miss before publishing"),
+        }
+        allocation
     }
 
     #[test]
-    fn shared_insert_deduplicates_racing_publishers() {
-        let shared = SharedSolveCache::new(64);
-        let p = problem(500.0);
-        let (a, e) = solve_with_engine(&p).unwrap();
-        let bucket = budget_bucket(p.budget(), Watts::new(1.0));
-        let digest = problem_digest(&p);
-        shared.insert(SolveKind::Cold, bucket, digest, &p, &a, e);
-        shared.insert(SolveKind::Cold, bucket, digest, &p, &a, e);
+    fn shared_cache_revalidates_and_evicts() {
+        let shared = Arc::new(SharedSolveCache::new(1)); // 1 entry per shard
+        let p1 = problem(500.0);
+        let p2 = problem(800.0);
+        let a1 = publish_cold(&shared, &p1);
         assert_eq!(shared.len(), 1);
-        assert_eq!(shared.stats().insertions, 1);
+
+        // Forge a digest collision: p1's entry filed under p2's key (the
+        // digest is layout-only, so both land in the same shard). Full
+        // equality turns the key match into a revalidation miss.
+        let shard = &shared.shards[(ProblemKey::of(&p1).digest as usize) % SHARED_SHARDS];
+        shard.state.lock().unwrap().entries[0].key = ProblemKey::of(&p2);
+        assert!(matches!(
+            shared.lookup(SolveKind::Cold, &p2),
+            SharedLookup::Miss(_)
+        ));
+        shard.state.lock().unwrap().entries[0].key = ProblemKey::of(&p1);
+        // Path tag mismatch → plain miss, not a revalidation miss.
+        assert!(matches!(
+            shared.lookup(SolveKind::WarmExact, &p1),
+            SharedLookup::Miss(_)
+        ));
+        let stats = shared.stats();
+        assert_eq!(stats.revalidation_misses, 1);
+        assert_eq!(stats.misses, 2);
+
+        // True hit returns the stored bits.
+        match shared.lookup(SolveKind::Cold, &p1) {
+            SharedLookup::Hit((hit, _)) => assert_eq!(hit, a1),
+            SharedLookup::Miss(_) => panic!("expected a revalidated hit"),
+        }
+
+        // A second publish into the same (full) shard evicts the first.
+        publish_cold(&shared, &p2);
+        assert_eq!(shared.stats().evictions, 1);
+        assert!(matches!(
+            shared.lookup(SolveKind::Cold, &p1),
+            SharedLookup::Miss(_)
+        ));
+    }
+
+    #[test]
+    fn abandoned_claims_release_the_problem() {
+        let shared = Arc::new(SharedSolveCache::new(64));
+        let p = problem(500.0);
+        // A claim dropped without publishing (solver error, unwinding)
+        // must not leave the next lookup waiting forever.
+        drop(shared.lookup(SolveKind::Cold, &p));
+        assert!(matches!(
+            shared.lookup(SolveKind::Cold, &p),
+            SharedLookup::Miss(_)
+        ));
+        assert_eq!(shared.stats().misses, 2);
+        assert!(shared.is_empty());
+    }
+
+    #[test]
+    fn concurrent_identical_misses_are_single_flight() {
+        // Each round, two controllers released by a barrier solve the
+        // same fresh problem: exactly one pays the cold solve and the
+        // other reuses it, whichever thread wins the race. Twelve groups
+        // keep the exact engine busy long enough for the lookups to
+        // overlap.
+        let groups: Vec<ServerGroup> = (0..12)
+            .map(|i| group(i, 1, 20.0, 60.0, 10.0 + f64::from(i), -0.02))
+            .collect();
+        let shared = Arc::new(SharedSolveCache::new(1024));
+        let rounds = 4u32;
+        let start = std::sync::Barrier::new(2);
+        let run = || -> Vec<(Allocation, SolveEngine)> {
+            (0..rounds)
+                .map(|round| {
+                    let mut fast = SolverFastPath::default();
+                    fast.set_shared_cache(Some(Arc::clone(&shared)));
+                    let budget = Watts::new(400.0 + f64::from(round));
+                    let p = AllocationProblem::new(groups.clone(), budget).unwrap();
+                    start.wait();
+                    fast.solve(&p).unwrap()
+                })
+                .collect()
+        };
+        let (first, second) = std::thread::scope(|scope| {
+            let other = scope.spawn(run);
+            let mine = run();
+            (mine, other.join().unwrap())
+        });
+        assert_eq!(first, second);
+        let stats = shared.stats();
+        let rounds = u64::from(rounds);
+        assert_eq!(
+            (stats.misses, stats.insertions, stats.hits),
+            (rounds, rounds, rounds),
+            "one solve and one reuse per round: {stats:?}"
+        );
     }
 
     #[test]

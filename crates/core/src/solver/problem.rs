@@ -1,7 +1,5 @@
 //! Problem and solution types for the power-allocation optimization (Eq. 8).
 
-use serde::{Deserialize, Serialize};
-
 use crate::database::PerfModel;
 use crate::error::CoreError;
 use crate::types::{ConfigId, Ratio, Throughput, Watts};
@@ -10,7 +8,7 @@ use crate::types::{ConfigId, Ratio, Throughput, Watts};
 ///
 /// The paper distributes the same amount of power to all servers of one
 /// type: with `x` Server As sharing ratio η, each gets `η/x` of the supply.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerGroup {
     /// The configuration this group consists of.
     pub config: ConfigId,
@@ -60,7 +58,7 @@ impl ServerGroup {
 
 /// The optimization problem of one scheduling epoch: split `budget` watts
 /// across the groups to maximize total projected throughput.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AllocationProblem {
     groups: Vec<ServerGroup>,
     budget: Watts,
@@ -150,7 +148,7 @@ impl AllocationProblem {
 }
 
 /// The solver's answer: per-server watts for each group plus the PAR view.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Allocation {
     /// Watts assigned to each individual server, one entry per group.
     pub per_server: Vec<Watts>,

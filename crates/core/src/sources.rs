@@ -18,12 +18,10 @@
 //! * the battery never discharges and charges in the same epoch;
 //! * grid draw (load + charging) never exceeds the grid budget.
 
-use serde::{Deserialize, Serialize};
-
 use crate::types::{Ratio, Watts};
 
 /// The three supply regimes of Fig. 6.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SupplyCase {
     /// Renewable supply covers the whole demand.
     A,
@@ -44,7 +42,7 @@ impl std::fmt::Display for SupplyCase {
 }
 
 /// Which source is charging the battery, when any is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChargeSource {
     /// Surplus renewable power charges the battery (Case A).
     Renewable,
@@ -56,7 +54,7 @@ pub enum ChargeSource {
 ///
 /// This is a *view*: the physical battery model lives in the
 /// `greenhetero-power` crate and produces one of these each epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatteryView {
     /// Maximum power the battery may discharge at, honoring both its
     /// C-rate limit and the energy remaining above the DoD floor over the
@@ -84,7 +82,7 @@ impl BatteryView {
 }
 
 /// The source-selection decision for one epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SourcePlan {
     /// Which regime the epoch falls into.
     pub case: SupplyCase,
@@ -132,7 +130,7 @@ impl SourcePlan {
 }
 
 /// Inputs to the source selection.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SourceInputs {
     /// Predicted renewable generation for the epoch (Eq. 4 output).
     pub predicted_renewable: Watts,

@@ -2,10 +2,8 @@
 //! attached to run reports so a finished simulation carries its own
 //! telemetry totals.
 
-use serde::{Deserialize, Serialize};
-
 /// A counter's final value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CounterSnapshot {
     /// Metric name.
     pub name: String,
@@ -14,7 +12,7 @@ pub struct CounterSnapshot {
 }
 
 /// A gauge's last reading.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GaugeSnapshot {
     /// Metric name.
     pub name: String,
@@ -23,7 +21,7 @@ pub struct GaugeSnapshot {
 }
 
 /// A histogram's summary statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSnapshot {
     /// Metric name.
     pub name: String,
@@ -45,7 +43,7 @@ pub struct HistogramSnapshot {
 ///
 /// An empty ledger (the default) means telemetry never registered an
 /// instrument — the state of a run built without a telemetry handle.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunLedger {
     /// Final counter values.
     pub counters: Vec<CounterSnapshot>,

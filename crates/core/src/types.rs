@@ -4,9 +4,9 @@
 //! throughput values, often in the same expression. Mixing those up is the
 //! classic source of silent bugs in power-management code, so each quantity
 //! gets its own newtype ([C-NEWTYPE]). All newtypes are `Copy`, ordered,
-//! hashable where meaningful, serde-serializable, and implement only the
-//! arithmetic that is dimensionally sound (e.g. `Watts * SimDuration =
-//! WattHours`, but there is no `Watts + Ratio`).
+//! hashable where meaningful, and implement only the arithmetic that is
+//! dimensionally sound (e.g. `Watts * SimDuration = WattHours`, but there
+//! is no `Watts + Ratio`).
 //!
 //! # Examples
 //!
@@ -22,8 +22,6 @@
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
-
-use serde::{Deserialize, Serialize};
 
 use crate::error::CoreError;
 
@@ -43,7 +41,7 @@ use crate::error::CoreError;
 /// assert_eq!(peak - idle, Watts::new(90.0));
 /// assert!(peak > idle);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Watts(f64);
 
 impl Watts {
@@ -229,7 +227,7 @@ impl Mul<SimDuration> for Watts {
 ///
 /// Produced by integrating [`Watts`] over a [`SimDuration`]; consumed mainly
 /// by the battery model and the grid cost accounting.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct WattHours(f64);
 
 impl WattHours {
@@ -368,7 +366,7 @@ impl Sum for WattHours {
 /// assert_eq!(Ratio::saturating(1.2), Ratio::ONE);
 /// # Ok::<(), greenhetero_core::error::CoreError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Ratio(f64);
 
 impl Ratio {
@@ -451,7 +449,7 @@ impl Mul for Ratio {
 }
 
 /// Processor (or accelerator) clock frequency in megahertz.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct MegaHertz(f64);
 
 impl MegaHertz {
@@ -506,7 +504,7 @@ impl fmt::Display for MegaHertz {
 ///
 /// The controller treats throughput as a unitless "goodness" to maximize;
 /// the metric name travels with the workload description, not the number.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Throughput(f64);
 
 impl Throughput {
@@ -598,9 +596,7 @@ impl Sum for Throughput {
 
 /// A point in simulated time, measured in whole seconds since the start of
 /// the simulation.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {
@@ -674,9 +670,7 @@ impl AddAssign<SimDuration> for SimTime {
 }
 
 /// A span of simulated time in whole seconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimDuration {
@@ -769,7 +763,6 @@ macro_rules! id_newtype {
         $(#[$meta])*
         #[derive(
             Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-            Serialize, Deserialize,
         )]
         pub struct $name(u32);
 
@@ -819,9 +812,7 @@ id_newtype!(
 );
 
 /// Identifies one scheduling epoch (the paper uses 15-minute epochs).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct EpochId(u64);
 
 impl EpochId {
@@ -865,7 +856,7 @@ impl fmt::Display for EpochId {
 /// The paper's solver semantics (§IV-B3): allocations below idle yield zero
 /// performance; allocations above peak yield the peak performance with the
 /// excess wasted.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerRange {
     idle: Watts,
     peak: Watts,

@@ -190,16 +190,15 @@ pub fn is_bounded_channel_scope(path: &str) -> bool {
 }
 
 /// `true` for the files allowed to create OS threads directly (GH012):
-/// the work-stealing pool, the sharded runner, and the serve layer's
-/// fixed supervision threads (accept loop, spawner, watchdog). All
-/// other library code must submit tasks to the pool, so the process
-/// thread count stays a structural invariant instead of a function of
-/// load.
+/// the scheduler (the serve pool and the scoped fork-join loop) and the
+/// serve layer's fixed supervision threads (accept loop, spawner,
+/// watchdog). All other library code must go through `sched`, so the
+/// process thread count stays a structural invariant instead of a
+/// function of load.
 #[must_use]
 pub fn is_thread_spawn_site(path: &str) -> bool {
     [
         "crates/sim/src/sched.rs",
-        "crates/sim/src/runner.rs",
         "crates/serve/src/supervisor.rs",
         "crates/serve/src/daemon.rs",
     ]
@@ -510,13 +509,15 @@ mod tests {
 
     #[test]
     fn gh012_exempts_the_scheduler_allowlist() {
-        // The same spawn is flagged in session code but sanctioned in
-        // the pool, the runner, and the supervisor/daemon threads.
+        // The same spawn is flagged in session, runner and fleet code
+        // but sanctioned in the scheduler and the supervisor/daemon
+        // threads.
         let src = "fn f() { std::thread::spawn(|| ()); }\n";
         let diags = analyze_files(&[
             file("crates/serve/src/session.rs", src),
             file("crates/sim/src/sched.rs", src),
             file("crates/sim/src/runner.rs", src),
+            file("crates/sim/src/fleet.rs", src),
             file("crates/serve/src/supervisor.rs", src),
             file("crates/serve/src/daemon.rs", src),
         ]);
@@ -525,7 +526,14 @@ mod tests {
             .filter(|d| d.rule == "GH012")
             .map(|d| d.file.as_str())
             .collect();
-        assert_eq!(hits, vec!["crates/serve/src/session.rs"]);
+        assert_eq!(
+            hits,
+            vec![
+                "crates/serve/src/session.rs",
+                "crates/sim/src/fleet.rs",
+                "crates/sim/src/runner.rs",
+            ]
+        );
     }
 
     #[test]

@@ -1,17 +1,17 @@
 //! GH012: no direct thread spawning outside the scheduler allowlist.
 //!
-//! The work-stealing pool (DESIGN.md §15) is the codebase's one source
-//! of execution parallelism: serve sessions and fleet shards are
-//! poll-able tasks on a bounded worker set, so the process thread count
+//! The scheduler (DESIGN.md §15) is the codebase's one source of
+//! execution parallelism: serve sessions are poll-able tasks on the
+//! bounded `TaskPool`, and fleet epochs and experiment sweeps run on the
+//! scoped fork-join loop `for_each_bounded`, so the process thread count
 //! is a structural invariant (`workers + fixed supervision overhead`)
 //! rather than a function of load. A stray `thread::spawn` reintroduces
-//! thread-per-work-item scaling behind the pool's back and silently
+//! thread-per-work-item scaling behind the scheduler's back and silently
 //! voids the thread-budget gates in `BENCH_fleet.json`. The rule bans
 //! `thread::spawn`, `thread::Builder`, `thread::scope`, and
 //! `scope.spawn(..)` in crate library code everywhere except the files
-//! named by [`is_thread_spawn_site`] — the pool itself, the sharded
-//! runner, and the supervisor/daemon threads that *are* the fixed
-//! overhead.
+//! named by [`is_thread_spawn_site`] — the scheduler itself and the
+//! supervisor/daemon threads that *are* the fixed overhead.
 //!
 //! [`is_thread_spawn_site`]: crate::is_thread_spawn_site
 
@@ -61,7 +61,7 @@ pub fn check(model: &FileModel, diags: &mut Vec<Diagnostic>) {
             &model.path,
             t.line,
             format!(
-                "{what} creates an OS thread outside the scheduler allowlist, breaking the bounded-pool thread budget; submit a task to the work-stealing pool (`sched::TaskPool`) instead"
+                "{what} creates an OS thread outside the scheduler allowlist, breaking the bounded-pool thread budget; submit a task to `sched::TaskPool` or fork-join through `sched::for_each_bounded` instead"
             ),
         ));
     }

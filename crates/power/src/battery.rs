@@ -10,10 +10,9 @@
 use greenhetero_core::error::CoreError;
 use greenhetero_core::sources::BatteryView;
 use greenhetero_core::types::{Ratio, SimDuration, WattHours, Watts};
-use serde::{Deserialize, Serialize};
 
 /// Static parameters of a battery bank.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatterySpec {
     /// Total nameplate capacity.
     pub capacity: WattHours,
@@ -112,7 +111,7 @@ impl BatterySpec {
 /// assert!((bank.soc().value() - (1.0 - 1000.0 / 12_000.0)).abs() < 1e-9);
 /// # Ok::<(), greenhetero_core::error::CoreError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatteryBank {
     spec: BatterySpec,
     energy: WattHours,

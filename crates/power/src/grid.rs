@@ -8,10 +8,9 @@
 
 use greenhetero_core::error::CoreError;
 use greenhetero_core::types::{SimDuration, WattHours, Watts};
-use serde::{Deserialize, Serialize};
 
 /// Tariff model for grid energy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridTariff {
     /// Charge per kW of the billing period's **peak** draw.
     pub peak_price_per_kw: f64,
@@ -45,7 +44,7 @@ impl GridTariff {
 /// assert_eq!(grid.peak_draw(), Watts::new(1000.0));
 /// # Ok::<(), greenhetero_core::error::CoreError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridFeed {
     budget: Watts,
     tariff: GridTariff,

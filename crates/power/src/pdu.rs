@@ -9,13 +9,12 @@
 
 use greenhetero_core::sources::{ChargeSource, SourcePlan};
 use greenhetero_core::types::{Ratio, SimDuration, WattHours, Watts};
-use serde::{Deserialize, Serialize};
 
 use crate::battery::BatteryBank;
 use crate::grid::GridFeed;
 
 /// The realized power flows of one epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerFlows {
     /// Power delivered to the server load bus.
     pub to_load: Watts,
@@ -66,7 +65,7 @@ impl PowerFlows {
 }
 
 /// The rack PDU: applies plans to the physical sources.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Pdu;
 
 impl Pdu {

@@ -15,12 +15,11 @@ use greenhetero_core::error::CoreError;
 use greenhetero_core::types::{Ratio, SimDuration, Watts};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::trace::PowerTrace;
 
 /// A photovoltaic array: converts irradiance (W/m²) into electrical watts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PvArray {
     /// Total panel area in m².
     pub area_m2: f64,
@@ -63,7 +62,7 @@ impl PvArray {
 }
 
 /// Weather regimes matching the paper's two NREL traces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SolarProfile {
     /// Clear-sky, high-generation week (the paper's *High solar trace*).
     High,
@@ -98,7 +97,7 @@ impl SolarProfile {
 }
 
 /// Parameters for synthetic solar trace generation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolarConfig {
     /// Weather regime.
     pub profile: SolarProfile,

@@ -9,7 +9,6 @@ use std::io::{BufRead, BufReader, Read, Write};
 
 use greenhetero_core::error::CoreError;
 use greenhetero_core::types::{SimDuration, SimTime, Watts};
-use serde::{Deserialize, Serialize};
 
 /// A power value sampled at a fixed interval.
 ///
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(trace.at(SimTime::from_secs(1000)), Watts::new(100.0));
 /// # Ok::<(), greenhetero_core::error::CoreError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerTrace {
     interval: SimDuration,
     values: Vec<Watts>,

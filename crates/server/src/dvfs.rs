@@ -12,7 +12,6 @@
 
 use greenhetero_core::enforcer::{PowerState, PowerStateSet};
 use greenhetero_core::types::{MegaHertz, Watts};
-use serde::{Deserialize, Serialize};
 
 use crate::ground_truth::GroundTruth;
 use crate::platform::{PlatformClass, PlatformKind};
@@ -24,7 +23,7 @@ pub const FREQ_POWER_EXPONENT: f64 = 2.0;
 pub const LADDER_STEPS: usize = 8;
 
 /// A platform's DVFS ladder: available frequencies, ascending.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrequencyLadder {
     freqs: Vec<MegaHertz>,
 }
@@ -114,7 +113,7 @@ pub fn power_state_set(truth: &GroundTruth, ladder: &FrequencyLadder) -> PowerSt
 
 /// How a server picks its frequency (the `cpufreq` governors the paper
 /// uses).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Governor {
     /// Track instantaneous demand: pick the lowest state whose power meets
     /// the current load — the training-run governor.

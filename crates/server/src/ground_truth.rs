@@ -18,8 +18,6 @@
 //! * the GPU platform runs only Rodinia kernels, at `gpu_affinity ×` the
 //!   reference CPU's throughput.
 
-use serde::{Deserialize, Serialize};
-
 use greenhetero_core::error::CoreError;
 use greenhetero_core::types::{PowerRange, Ratio, Throughput, Watts};
 
@@ -50,7 +48,7 @@ const UNIT: f64 = 100.0;
 /// assert!(gt.throughput(Watts::new(80.0)) > gt.throughput(Watts::new(60.0)));
 /// # Ok::<(), greenhetero_core::error::CoreError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GroundTruth {
     platform: PlatformKind,
     workload: WorkloadKind,

@@ -1,12 +1,10 @@
 //! The six server platforms of Table II.
 
-use serde::{Deserialize, Serialize};
-
 use greenhetero_core::error::CoreError;
 use greenhetero_core::types::{ConfigId, MegaHertz, PowerRange, Watts};
 
 /// CPU vs. accelerator platforms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlatformClass {
     /// A general-purpose CPU server.
     Cpu,
@@ -15,7 +13,7 @@ pub enum PlatformClass {
 }
 
 /// The six platforms of Table II.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)] // variant names are the platform names
 pub enum PlatformKind {
     XeonE52620,
@@ -28,7 +26,7 @@ pub enum PlatformKind {
 
 /// Static description of one platform (one row of Table II, plus the
 /// microarchitectural factors the ground-truth models need).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlatformSpec {
     /// Which platform this is.
     pub kind: PlatformKind,

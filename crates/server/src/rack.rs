@@ -1,7 +1,5 @@
 //! Racks of heterogeneous servers and the Table IV combinations.
 
-use serde::{Deserialize, Serialize};
-
 use greenhetero_core::controller::{GroupSpec, RackSpec};
 use greenhetero_core::error::CoreError;
 use greenhetero_core::types::{Ratio, ServerId, Throughput, Watts};
@@ -12,7 +10,7 @@ use crate::workload::WorkloadKind;
 
 /// The server combinations of Table IV (plus the §III-B case-study pair,
 /// which is Comb1 with one server per type).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)] // variant names are the paper's combination names
 pub enum Combination {
     Comb1,
@@ -69,7 +67,7 @@ impl std::fmt::Display for Combination {
 }
 
 /// One homogeneous group inside a rack.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RackGroup {
     /// The platform of every server in the group.
     pub platform: PlatformKind,
@@ -91,7 +89,7 @@ impl RackGroup {
 }
 
 /// What the monitor measured for one group after an epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GroupMeasurement {
     /// The platform measured.
     pub platform: PlatformKind,
@@ -116,7 +114,7 @@ impl GroupMeasurement {
 }
 
 /// A full rack measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RackMeasurement {
     /// Per-group measurements, in rack group order.
     pub groups: Vec<GroupMeasurement>,
@@ -157,7 +155,7 @@ impl RackMeasurement {
 /// assert!(m.total_throughput().value() > 0.0);
 /// # Ok::<(), greenhetero_core::error::CoreError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Rack {
     groups: Vec<RackGroup>,
 }

@@ -6,8 +6,6 @@
 //! full-load draw fits (quantization the controller's database must learn
 //! around).
 
-use serde::{Deserialize, Serialize};
-
 use greenhetero_core::enforcer::{PowerStateSet, Spc};
 use greenhetero_core::error::CoreError;
 use greenhetero_core::types::{Ratio, ServerId, Throughput, Watts};
@@ -18,7 +16,7 @@ use crate::platform::PlatformKind;
 use crate::workload::WorkloadKind;
 
 /// One measurement of a running server.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerSample {
     /// Power actually drawn.
     pub power: Watts,
@@ -29,7 +27,7 @@ pub struct ServerSample {
 }
 
 /// A simulated server.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimServer {
     id: ServerId,
     truth: GroundTruth,

@@ -20,12 +20,10 @@
 //!   on a GPU), only non-zero for the Rodinia kernels of the paper's
 //!   Comb6 experiments.
 
-use serde::{Deserialize, Serialize};
-
 use greenhetero_core::types::WorkloadId;
 
 /// The benchmark suite a workload comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Suite {
     /// SPECjbb 2013.
     Spec,
@@ -57,7 +55,7 @@ impl Suite {
 ///
 /// `Streamcluster` doubles as the PARSEC CPU benchmark and the Rodinia
 /// GPU kernel (the paper runs it in both roles).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)] // variant names are the workload names
 pub enum WorkloadKind {
     SpecJbb,
@@ -78,7 +76,7 @@ pub enum WorkloadKind {
 }
 
 /// Descriptive and behavioural parameters of one workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadSpec {
     /// Which workload this is.
     pub kind: WorkloadKind,

@@ -20,10 +20,9 @@ use greenhetero_core::error::CoreError;
 use greenhetero_core::types::{Ratio, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// What a fault does while its window is active.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// `count` servers of rack group `group` are down: they crash at the
     /// window start and recover at the window end, shrinking the group's
@@ -58,7 +57,7 @@ pub enum FaultKind {
 }
 
 /// One timed fault: `kind` is in force on `[start, start + len)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultWindow {
     /// When the fault strikes.
     pub start: SimTime,
@@ -135,7 +134,7 @@ impl FaultState {
 /// assert!(schedule.state_at(SimTime::from_hours(12), 2).solar_out);
 /// assert!(!schedule.state_at(SimTime::from_hours(14), 2).solar_out);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultSchedule {
     windows: Vec<FaultWindow>,
 }

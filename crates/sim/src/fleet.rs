@@ -21,27 +21,26 @@
 //! * **Batched solves.** One fleet-wide
 //!   [`SharedSolveCache`] dedups the per-epoch PAR solve across racks:
 //!   controllers facing bit-identical problems (same model fingerprints,
-//!   same budget bucket, full-equality revalidation on hit) pay one cold
+//!   same budget bits, full-equality revalidation on hit) pay one cold
 //!   solve and reuse the answer. Attaching, detaching, or resizing the
 //!   cache never changes a single output bit (DESIGN.md §14).
-//! * **Work-stolen lock-step epochs.** Racks are grouped into
-//!   contiguous batches and dispatched onto the work-stealing epoch
-//!   executor ([`crate::sched::run_epoch_batches`]): within an epoch,
-//!   whichever worker is free steals the next batch, and a dependency
-//!   counter (not a barrier) detects epoch completion. The worker that
-//!   finishes the last batch becomes the rollover leader: it folds every
-//!   batch's epoch records into the fleet accumulators **in ascending
-//!   rack order** (never completion order), flushes the shared event
-//!   sink through the finished epoch, and seeds the next one — so every
-//!   float sum is a fixed-order reduction and the fleet CSV/JSONL is
-//!   byte-identical at any worker count. Records are folded at the
-//!   rollover and dropped: resident state is O(racks), not
+//! * **Fork-join lock-step epochs.** Each epoch, every rack lane is
+//!   stepped once on the scoped fork-join loop
+//!   ([`crate::sched::run_epoch_batches`]): workers claim lanes one at a
+//!   time, and the epoch ends when all of them are joined. The caller
+//!   then folds every lane's epoch record into the fleet accumulators
+//!   **in ascending rack order** (never completion order) and flushes
+//!   the shared event sink through the finished epoch, so every float
+//!   sum is a fixed-order reduction and the fleet CSV/JSONL is
+//!   byte-identical at any worker count. Records are folded at the end
+//!   of their epoch and dropped: resident state is O(racks), not
 //!   O(racks × epochs), which is what lets 100k-rack fleets fit a
 //!   per-rack RSS budget (BENCH_fleet.json gates it).
 //!
 //! [`FleetSpec::run_sequential`] is the plain one-rack-after-another
 //! reference implementation the lock-step engine is tested against.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -129,12 +128,12 @@ impl FleetSpec {
         self.base.validate()
     }
 
-    /// Runs the fleet in lock-step on the work-stealing epoch scheduler.
+    /// Runs the fleet in lock-step on the fork-join epoch loop.
     ///
-    /// Rack batches are stolen by whichever of the `workers` pool
-    /// threads is free; the rollover leader folds each finished epoch
-    /// into streaming fleet accumulators in ascending rack order and
-    /// drops the per-epoch records, so resident state stays O(racks).
+    /// Each epoch, up to `workers` threads claim and step rack lanes;
+    /// the calling thread then folds the finished epoch into streaming
+    /// fleet accumulators in ascending rack order and drops the
+    /// per-epoch records, so resident state stays O(racks).
     ///
     /// # Errors
     ///
@@ -448,10 +447,9 @@ impl FleetColumns {
     /// Bit-identity invariant: for any fixed (epoch, field) cell the
     /// additions must land in ascending rack order. Both callers honour
     /// it — [`fold_rack`](Self::fold_rack) visits racks in ascending
-    /// order rack-major, and the scheduler's rollover leader folds
-    /// batches (contiguous ascending rack ranges) in ascending batch
-    /// order epoch-major — so the two fold schedules produce the same
-    /// fixed-order f64 reduction per cell, bit for bit.
+    /// order rack-major, and the lock-step loop folds lanes in ascending
+    /// rack order epoch-major — so the two fold schedules produce the
+    /// same fixed-order f64 reduction per cell, bit for bit.
     fn fold_record(&mut self, e: usize, rec: &EpochRecord) {
         self.training_racks[e] += u32::from(rec.training);
         self.degraded_racks[e] += u32::from(rec.degraded);
@@ -672,11 +670,11 @@ pub fn pretrain_database(rack: &Rack, base: &Scenario) -> Result<PerfDatabase, C
     Ok(db)
 }
 
-/// One rack riding through the work-stealing epoch loop: its simulation,
+/// One rack riding through the lock-step epoch loop: its simulation,
 /// its streaming per-rack accumulators (mirroring the formulas
 /// `RunReport` computes from full record vectors, in the same epoch
 /// order, so the results are bit-identical), the record awaiting the
-/// next rollover fold, and its error slot.
+/// end-of-epoch fold, and its error slot.
 struct RackLane {
     rack_id: u32,
     sim: Simulation,
@@ -687,11 +685,6 @@ struct RackLane {
     degraded_epochs: u64,
     pending: Option<EpochRecord>,
     error: Option<CoreError>,
-}
-
-/// A contiguous ascending run of rack lanes — the unit of stealing.
-struct FleetBatch {
-    lanes: Vec<RackLane>,
 }
 
 /// One rack's end-of-run harvest from the streaming loop.
@@ -722,25 +715,23 @@ struct FleetStream {
     lanes: Vec<RackResult>,
 }
 
-/// Lock-step on the work-stealing epoch scheduler: contiguous rack
-/// batches are stolen within each epoch by whichever worker is free,
-/// and the rollover leader folds the finished epoch's records into the
-/// fleet columns in ascending batch (= rack) order, flushes the shared
-/// sink through that epoch, and drops the records — streaming the whole
-/// reduction so resident state is O(racks), not O(racks × epochs).
+/// Lock-step on the fork-join epoch loop: every rack lane is stepped
+/// once per epoch by whichever worker claims it, then the caller folds
+/// the finished epoch's records into the fleet columns in ascending rack
+/// order, flushes the shared sink through that epoch, and drops the
+/// records — streaming the whole reduction so resident state is
+/// O(racks), not O(racks × epochs).
 ///
-/// A failing rack stops its own batch mid-epoch and raises the abort:
-/// the run ends once the current epoch's dependency counter drains, the
-/// failed epoch is neither folded nor flushed (the `SharedSink` drop
-/// backstop still emits the ordered prefix of earlier epochs), and the
-/// first error in rack order is returned — independent of worker count.
+/// A failing rack records its error and raises the abort: the run ends
+/// once the current epoch's steps are done, the failed epoch is neither
+/// folded nor flushed (the `SharedSink` drop backstop still emits the
+/// ordered prefix of earlier epochs), and the first error in rack order
+/// is returned — independent of worker count.
 fn run_lock_step_sched(
     sims: Vec<Simulation>,
     workers: usize,
     sink: Option<&SharedSink>,
 ) -> Result<FleetStream, CoreError> {
-    let total = sims.len();
-    let workers = workers.clamp(1, total.max(1));
     let epochs_total = sims.first().map_or(0, Simulation::epochs_total);
     let Some(epoch_len) = sims.first().map(|s| s.scenario().controller.epoch_len) else {
         return Ok(FleetStream {
@@ -750,13 +741,10 @@ fn run_lock_step_sched(
         });
     };
 
-    // ~4 batches per worker: fine enough for stealing to balance
-    // unequal rack costs, coarse enough to amortize dispatch.
-    let chunk = total.div_ceil((workers * 4).max(1)).max(1);
-    let mut batches: Vec<FleetBatch> = Vec::with_capacity(total.div_ceil(chunk));
-    let mut lanes: Vec<RackLane> = Vec::with_capacity(chunk);
-    for (idx, sim) in sims.into_iter().enumerate() {
-        lanes.push(RackLane {
+    let lanes: Vec<RackLane> = sims
+        .into_iter()
+        .enumerate()
+        .map(|(idx, sim)| RackLane {
             rack_id: idx as u32,
             sim,
             epu: EpuAccumulator::new(),
@@ -766,56 +754,42 @@ fn run_lock_step_sched(
             degraded_epochs: 0,
             pending: None,
             error: None,
-        });
-        if lanes.len() == chunk {
-            batches.push(FleetBatch {
-                lanes: std::mem::take(&mut lanes),
-            });
-        }
-    }
-    if !lanes.is_empty() {
-        batches.push(FleetBatch { lanes });
-    }
+        })
+        .collect();
 
-    let fold_state = Mutex::new((
+    let fold_state = RefCell::new((
         FleetColumns::zeroed(epochs_total as usize),
         Vec::with_capacity(epochs_total as usize),
     ));
 
-    let step = |batch: &mut FleetBatch, _epoch: u64| -> bool {
-        for lane in &mut batch.lanes {
-            match lane.sim.step_epoch_record(&mut lane.epu) {
-                Ok(rec) => {
-                    // Per-rack streaming sums: same ops, same epoch
-                    // order as `Simulation::finish` over full records.
-                    if !rec.training {
-                        lane.steady_sum += rec.throughput.value();
-                        lane.steady_count += 1;
-                    }
-                    lane.unserved_energy += rec.unserved * epoch_len;
-                    lane.degraded_epochs += u64::from(rec.degraded);
-                    lane.pending = Some(rec);
+    let step = |lane: &mut RackLane, _epoch: u64| -> bool {
+        match lane.sim.step_epoch_record(&mut lane.epu) {
+            Ok(rec) => {
+                // Per-rack streaming sums: same ops, same epoch order
+                // as `Simulation::finish` over full records.
+                if !rec.training {
+                    lane.steady_sum += rec.throughput.value();
+                    lane.steady_count += 1;
                 }
-                Err(e) => {
-                    lane.error = Some(e);
-                    return false;
-                }
+                lane.unserved_energy += rec.unserved * epoch_len;
+                lane.degraded_epochs += u64::from(rec.degraded);
+                lane.pending = Some(rec);
+                true
+            }
+            Err(e) => {
+                lane.error = Some(e);
+                false
             }
         }
-        true
     };
-    // Called only by the rollover leader, batches in ascending order —
-    // the lock is uncontended sequencing, not synchronization.
-    let fold = |epoch: u64, batch: &mut FleetBatch| {
-        let mut guard = fold_state.lock().unwrap_or_else(PoisonError::into_inner);
-        let (columns, template) = &mut *guard;
-        for lane in &mut batch.lanes {
-            if let Some(rec) = lane.pending.take() {
-                if lane.rack_id == 0 {
-                    template.push((rec.epoch, rec.time));
-                }
-                columns.fold_record(epoch as usize, &rec);
+    // Runs on the calling thread, lanes in ascending rack order.
+    let fold = |epoch: u64, lane: &mut RackLane| {
+        if let Some(rec) = lane.pending.take() {
+            let (columns, template) = &mut *fold_state.borrow_mut();
+            if lane.rack_id == 0 {
+                template.push((rec.epoch, rec.time));
             }
+            columns.fold_record(epoch as usize, &rec);
         }
     };
     let epoch_done = |epoch: u64| {
@@ -824,18 +798,14 @@ fn run_lock_step_sched(
         }
     };
 
-    let batches = run_epoch_batches(workers, epochs_total, batches, &step, &fold, &epoch_done);
-
-    let mut done: Vec<RackLane> = batches.into_iter().flat_map(|b| b.lanes).collect();
+    let mut done = run_epoch_batches(workers, epochs_total, lanes, &step, &fold, &epoch_done);
     // First error in rack order wins, independent of worker count.
     for lane in &mut done {
         if let Some(e) = lane.error.take() {
             return Err(e);
         }
     }
-    let (columns, template) = fold_state
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
+    let (columns, template) = fold_state.into_inner();
     let lanes = done
         .into_iter()
         .map(|lane| RackResult {

@@ -6,10 +6,9 @@
 //! full intensity.
 
 use greenhetero_core::types::{Ratio, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// How the offered load evolves over simulated time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum IntensityProfile {
     /// Constant offered load (batch workloads saturate at 1.0).
     Constant(Ratio),

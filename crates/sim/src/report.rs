@@ -6,10 +6,9 @@ use greenhetero_core::metrics::{EpuAccumulator, SeriesSummary};
 use greenhetero_core::sources::SupplyCase;
 use greenhetero_core::telemetry::RunLedger;
 use greenhetero_core::types::{EpochId, Ratio, SimTime, Throughput, WattHours, Watts};
-use serde::{Deserialize, Serialize};
 
 /// Everything the monitor recorded about one scheduling epoch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpochRecord {
     /// The epoch index.
     pub epoch: EpochId,
@@ -56,7 +55,7 @@ pub struct EpochRecord {
 }
 
 /// The outcome of one simulated run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Per-epoch records, in order.
     pub epochs: Vec<EpochRecord>,

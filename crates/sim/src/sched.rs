@@ -1,32 +1,30 @@
-//! Work-stealing epoch scheduler: a bounded worker pool that hosts
-//! thousands of poll-able tasks on ~`available_parallelism` OS threads.
+//! The repository's two execution primitives: a bounded pool for
+//! long-lived serve sessions and a scoped fork-join for batch work.
 //!
-//! Two execution surfaces share the same stealing machinery:
-//!
-//! * [`TaskPool`] — a long-lived pool for the serving daemon. Each rack
-//!   session is a [`PollTask`] that advances one epoch (or one waiting
+//! * [`TaskPool`] hosts the serving daemon's sessions. Each rack session
+//!   is a `'static` [`PollTask`] that advances one epoch (or one waiting
 //!   quantum) per [`PollTask::poll`] call and yields the thread between
 //!   steps, so a 1,000-session daemon runs on `workers` threads instead
 //!   of 1,000. Tasks that need to wait (pacing, crash backoff, manual
-//!   ticks) return [`TaskPoll::After`] and are parked on a timer wheel
-//!   rather than blocking a worker.
-//! * [`run_epoch_batches`] — a scoped, lock-step executor for fleet
-//!   runs. Rack batches are work-stolen *within* an epoch, but a
-//!   dependency counter (not a barrier) detects epoch completion: the
-//!   worker that finishes the last batch becomes the rollover leader,
-//!   folds every batch **in ascending batch order** (= rack order), and
-//!   re-seeds the next epoch. Execution order is free; reduction order
-//!   is pinned — which is exactly the determinism contract the fleet
-//!   byte-identity suite enforces.
+//!   ticks) return [`TaskPoll::After`] and are parked on a deadline map
+//!   rather than blocking a worker; idle workers steal runnable tasks
+//!   from each other.
+//! * [`for_each_bounded`] runs a closure over a borrowed slice on the
+//!   caller plus `workers - 1` scoped threads and joins them. Fleet
+//!   epochs ([`run_epoch_batches`]) and experiment sweeps
+//!   ([`crate::runner::run_all`]) are built on it: execution order is
+//!   free, while folds and flushes happen afterwards on the caller in
+//!   ascending index order, which is exactly the determinism contract
+//!   the fleet byte-identity suite enforces.
 //!
 //! Determinism proof obligation (see DESIGN.md §15): no task may derive
-//! behaviour from worker identity, steal order, or wall-clock readings;
+//! behaviour from worker identity, claim order, or wall-clock readings;
 //! those inputs exist only in this module and never flow into task
 //! state. Everything a task computes is a function of its own spec and
 //! its own step counter.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -341,215 +339,87 @@ impl Drop for TaskPool {
 }
 
 // ---------------------------------------------------------------------------
-// Scoped lock-step executor for fleet epochs.
+// Scoped fork-join for batch work: fleet epochs and experiment sweeps.
 // ---------------------------------------------------------------------------
 
-struct ExecShared<'a, B> {
-    slots: Vec<Mutex<B>>,
-    queues: Vec<Mutex<VecDeque<usize>>>,
-    /// Batches still unfinished in the current epoch; the worker that
-    /// takes it to zero is the rollover leader.
-    remaining: AtomicUsize,
-    /// Current epoch, guarded by a mutex so idle workers can condvar-wait
-    /// for the rollover.
-    epoch: Mutex<u64>,
-    /// Lock-free mirror of `epoch` for the hot stepping path: stored by
-    /// the rollover leader *before* re-seeding the queues, so any worker
-    /// that pops a batch id observes the epoch that seeded it.
-    cur: AtomicU64,
-    rollover: Condvar,
-    abort: AtomicBool,
-    done: AtomicBool,
-    steals: AtomicU64,
-    epochs: u64,
-    step: &'a (dyn Fn(&mut B, u64) -> bool + Sync),
-    fold: &'a (dyn Fn(u64, &mut B) + Sync),
-    epoch_done: &'a (dyn Fn(u64) + Sync),
-}
-
-impl<B> ExecShared<'_, B> {
-    /// Distributes batch ids across worker deques for one epoch, in
-    /// round-robin order so every worker starts with a local share.
-    fn seed_queues(&self) {
-        for (w, queue) in self.queues.iter().enumerate() {
-            let mut queue = queue.lock().unwrap_or_else(PoisonError::into_inner);
-            queue.clear();
-            queue.extend((w..self.slots.len()).step_by(self.queues.len()));
-        }
-    }
-
-    fn next_batch(&self, me: usize) -> Option<usize> {
-        if let Some(id) = self.queues[me]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop_front()
-        {
-            return Some(id);
-        }
-        for offset in 1..self.queues.len() {
-            let victim = (me + offset) % self.queues.len();
-            if let Some(id) = self.queues[victim]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .pop_back()
-            {
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                return Some(id);
-            }
-        }
-        None
-    }
-
-    /// Folds the finished epoch in ascending batch order, flushes it,
-    /// and either seeds the next epoch or marks the run complete.
-    fn rollover_leader(&self) {
-        let mut epoch = self.epoch.lock().unwrap_or_else(PoisonError::into_inner);
-        let e = *epoch;
-        if !self.abort.load(Ordering::Acquire) {
-            for slot in &self.slots {
-                let mut batch = slot.lock().unwrap_or_else(PoisonError::into_inner);
-                (self.fold)(e, &mut batch);
-            }
-            (self.epoch_done)(e);
-        }
-        if self.abort.load(Ordering::Acquire) || e + 1 >= self.epochs {
-            self.done.store(true, Ordering::Release);
-        } else {
-            self.cur.store(e + 1, Ordering::Release);
-            self.seed_queues();
-            self.remaining.store(self.slots.len(), Ordering::Release);
-            *epoch = e + 1;
-        }
-        drop(epoch);
-        self.rollover.notify_all();
-    }
-
-    fn worker_loop(&self, me: usize) {
-        let mut seen_epoch = 0u64;
-        loop {
-            if self.done.load(Ordering::Acquire) {
-                return;
-            }
-            if let Some(id) = self.next_batch(me) {
-                // Popping an id synchronizes (via the queue mutex) with
-                // the leader's `cur` store before it seeded the queue.
-                seen_epoch = self.cur.load(Ordering::Acquire);
-                let failed = {
-                    let mut batch = self.slots[id]
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner);
-                    !(self.step)(&mut batch, seen_epoch)
-                };
-                if failed {
-                    self.abort.store(true, Ordering::Release);
-                }
-                if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    self.rollover_leader();
-                }
-                continue;
-            }
-            // Out of batches this epoch: wait for the rollover leader.
-            let mut epoch = self.epoch.lock().unwrap_or_else(PoisonError::into_inner);
-            while *epoch == seen_epoch && !self.done.load(Ordering::Acquire) {
-                epoch = self
-                    .rollover
-                    .wait(epoch)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-            seen_epoch = *epoch;
-        }
-    }
-}
-
-/// Releases waiting sibling workers if this worker's `step`/`fold`
-/// panics mid-epoch — without it the scope join would deadlock on the
-/// rollover condvar while the panic waits to propagate.
-struct PanicRelease<'a, 'b, B> {
-    shared: &'a ExecShared<'b, B>,
-}
-
-impl<B> Drop for PanicRelease<'_, '_, B> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.shared.done.store(true, Ordering::Release);
-            self.shared.abort.store(true, Ordering::Release);
-            self.shared.rollover.notify_all();
-        }
-    }
-}
-
-/// Runs `epochs` lock-step epochs over `batches` on `workers` threads
-/// with work stealing inside each epoch and a pinned reduction order at
-/// each rollover.
+/// Runs `f` once on every item of `items` on at most `workers` threads:
+/// the caller plus `workers - 1` scoped threads (none at one worker).
 ///
-/// Per epoch, every batch is stepped exactly once via
-/// `step(&mut batch, epoch)` — on whichever worker steals it. The
-/// worker that completes the epoch's last batch becomes the rollover
-/// leader: it calls `fold(epoch, &mut batch)` for every batch in
-/// **ascending batch index order** (with ascending rack order inside a
-/// batch, that is ascending global rack order — the exact order the
-/// sequential oracle folds in), then `epoch_done(epoch)` (sink flush),
-/// then seeds the next epoch. There is no run-ahead: batch `i` never
-/// starts epoch `e+1` before every batch finished epoch `e`, preserving
-/// the lock-step contract the shared solve cache and the ≤1-epoch sink
+/// Workers claim items one at a time through a shared cursor, so which
+/// thread runs which item is first-come-first-served; `f` must not let
+/// that choice reach the item's state. Returns once every item is done.
+/// A panic in `f` on a spawned worker is resumed on the caller with its
+/// original payload (the first panicked worker in spawn order wins); a
+/// panic on the caller itself propagates once the workers are joined.
+pub fn for_each_bounded<T: Send>(items: &mut [T], workers: usize, f: impl Fn(&mut T) + Sync) {
+    let workers = workers.clamp(1, items.len().max(1));
+    if workers == 1 {
+        items.iter_mut().for_each(f);
+        return;
+    }
+    let cursor = Mutex::new(items.iter_mut());
+    let work = || loop {
+        let claimed = cursor.lock().unwrap_or_else(PoisonError::into_inner).next();
+        match claimed {
+            Some(item) => f(item),
+            None => break,
+        }
+    };
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        work();
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+    });
+}
+
+/// Runs `epochs` lock-step epochs over `batches` on up to `workers`
+/// threads.
+///
+/// Each epoch steps every batch exactly once via `step(&mut batch,
+/// epoch)`, in parallel through [`for_each_bounded`]. Then, on the
+/// calling thread, it calls `fold(epoch, &mut batch)` for every batch in
+/// **ascending batch index order** (the exact order the sequential
+/// oracle folds in) and `epoch_done(epoch)` (sink flush). No batch starts
+/// epoch `e+1` before every batch finished epoch `e`, which is the
+/// lock-step contract the shared solve cache and the one-epoch sink
 /// buffering rely on.
 ///
-/// `step` returns `false` to report a failed batch: the run aborts at
-/// the end of the current epoch — its rollover fold and flush are
-/// skipped — and the caller inspects its own per-batch error state.
+/// `step` returns `false` to report a failed batch: the run stops once
+/// the current epoch's steps are done, that epoch is neither folded nor
+/// flushed, and the caller inspects its own per-batch error state.
 /// Returns the batches for post-run harvest.
 pub fn run_epoch_batches<B: Send>(
     workers: usize,
     epochs: u64,
-    batches: Vec<B>,
+    mut batches: Vec<B>,
     step: &(dyn Fn(&mut B, u64) -> bool + Sync),
-    fold: &(dyn Fn(u64, &mut B) + Sync),
-    epoch_done: &(dyn Fn(u64) + Sync),
+    fold: &dyn Fn(u64, &mut B),
+    epoch_done: &dyn Fn(u64),
 ) -> Vec<B> {
-    if batches.is_empty() || epochs == 0 {
+    if batches.is_empty() {
         return batches;
     }
-    let workers = workers.clamp(1, batches.len());
-    let shared = ExecShared {
-        slots: batches.into_iter().map(Mutex::new).collect(),
-        queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-        remaining: AtomicUsize::new(0),
-        epoch: Mutex::new(0),
-        cur: AtomicU64::new(0),
-        rollover: Condvar::new(),
-        abort: AtomicBool::new(false),
-        done: AtomicBool::new(false),
-        steals: AtomicU64::new(0),
-        epochs,
-        step,
-        fold,
-        epoch_done,
-    };
-    shared.seed_queues();
-    shared
-        .remaining
-        .store(shared.slots.len(), Ordering::Release);
-    if workers == 1 {
-        let release = PanicRelease { shared: &shared };
-        shared.worker_loop(0);
-        drop(release);
-    } else {
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let shared = &shared;
-                scope.spawn(move || {
-                    let release = PanicRelease { shared };
-                    shared.worker_loop(w);
-                    drop(release);
-                });
+    let failed = AtomicBool::new(false);
+    for epoch in 0..epochs {
+        for_each_bounded(&mut batches, workers, |batch| {
+            if !step(batch, epoch) {
+                failed.store(true, Ordering::Relaxed);
             }
         });
+        // The scope join orders every step before this load.
+        if failed.load(Ordering::Relaxed) {
+            break;
+        }
+        for batch in &mut batches {
+            fold(epoch, batch);
+        }
+        epoch_done(epoch);
     }
-    shared
-        .slots
-        .into_iter()
-        .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
-        .collect()
+    batches
 }
 
 #[cfg(test)]
@@ -637,6 +507,107 @@ mod tests {
         pool.kick();
         wait_for(|| pool.stats().completed == 1, "kicked task to finish");
         pool.shutdown();
+    }
+
+    #[test]
+    fn for_each_bounded_visits_every_item_once_at_every_worker_count() {
+        let start = Instant::now();
+        let rounds = 50u32;
+        for workers in [1usize, 2, 4, 16] {
+            let calls = AtomicU64::new(0);
+            let mut items = vec![0u32; 37];
+            for _ in 0..rounds {
+                for_each_bounded(&mut items, workers, |visits| {
+                    *visits += 1;
+                    calls.fetch_add(1, Ordering::Relaxed);
+                });
+            }
+            assert!(
+                items.iter().all(|&visits| visits == rounds),
+                "an item was skipped or revisited at {workers} workers: {items:?}"
+            );
+            assert_eq!(calls.load(Ordering::Relaxed), u64::from(rounds) * 37);
+        }
+        assert!(
+            start.elapsed() < Duration::from_secs(2),
+            "fork-join rounds took {:?}",
+            start.elapsed()
+        );
+    }
+
+    #[test]
+    fn for_each_bounded_writes_results_in_place_in_input_order() {
+        let mut items: Vec<(usize, usize)> = (0..23).map(|x| (x, 0)).collect();
+        for_each_bounded(&mut items, 3, |(x, doubled)| *doubled = *x * 2);
+        let got: Vec<usize> = items.iter().map(|&(_, doubled)| doubled).collect();
+        assert_eq!(got, (0..23).map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn for_each_bounded_handles_more_workers_than_items_and_empty_slices() {
+        let mut items = vec![1u32, 2];
+        for_each_bounded(&mut items, 16, |x| *x += 1);
+        assert_eq!(items, vec![2, 3]);
+        let mut none: Vec<u32> = Vec::new();
+        for_each_bounded(&mut none, 4, |_| unreachable!("no items to visit"));
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Boom(usize);
+
+    #[test]
+    fn for_each_bounded_resumes_a_worker_panic_with_its_payload() {
+        // Two items, two threads, and a barrier: each thread must hold
+        // one item before either proceeds, so the spawned worker is the
+        // one that panics — never the caller.
+        let caller = std::thread::current().id();
+        let both_claimed = std::sync::Barrier::new(2);
+        let mut items = vec![0usize, 1];
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            for_each_bounded(&mut items, 2, |item| {
+                both_claimed.wait();
+                if std::thread::current().id() != caller {
+                    std::panic::panic_any(Boom(*item));
+                }
+            });
+        }));
+        let payload = caught.expect_err("the worker panic must reach the caller");
+        let boom = payload
+            .downcast_ref::<Boom>()
+            .expect("the original payload, not a generic scope panic");
+        assert!(boom.0 < 2, "payload names a claimed item: {boom:?}");
+    }
+
+    #[test]
+    fn for_each_bounded_panic_on_any_thread_reaches_the_caller() {
+        let mut items: Vec<u32> = (0..5).collect();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            for_each_bounded(&mut items, 2, |x| assert!(*x != 3, "boom on item 3"));
+        }));
+        assert!(caught.is_err(), "the pool should resume the panic");
+    }
+
+    #[test]
+    fn epoch_batches_step_counts_hold_over_many_short_epochs() {
+        // Many short epochs at more workers than cores: the loop that
+        // once deadlocked on an epoch rollover must finish, stepping each
+        // batch exactly once per epoch.
+        for workers in [2usize, 4] {
+            let steps = AtomicU64::new(0);
+            let out = run_epoch_batches(
+                workers,
+                300,
+                (0..8u64).collect(),
+                &|_b, _e| {
+                    steps.fetch_add(1, Ordering::Relaxed);
+                    true
+                },
+                &|_e, _b| {},
+                &|_e| {},
+            );
+            assert_eq!(out.len(), 8);
+            assert_eq!(steps.load(Ordering::Relaxed), 300 * 8);
+        }
     }
 
     #[test]

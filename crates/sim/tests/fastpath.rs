@@ -9,7 +9,6 @@
 
 use greenhetero_core::policies::PolicyKind;
 use greenhetero_core::telemetry::names;
-use greenhetero_core::types::Watts;
 use greenhetero_sim::engine::run_scenario;
 use greenhetero_sim::scenario::Scenario;
 
@@ -82,14 +81,6 @@ fn cross_check_sampling_is_observe_only() {
         aggressive,
         "cross-check-every-solve",
     );
-}
-
-#[test]
-fn quantum_changes_only_the_hit_rate_never_the_answers() {
-    let base = tiny(PolicyKind::GreenHetero);
-    let mut coarse = tiny(PolicyKind::GreenHetero);
-    coarse.controller.solver_cache_budget_quantum = Watts::new(50.0);
-    assert_identical(base, coarse, "coarse-quantum");
 }
 
 #[test]

@@ -2,8 +2,8 @@
 //! exports are held to the exact bytes the pre-scheduler contiguous
 //! shard path produced (fixtures under `tests/fixtures/`, regenerated
 //! only deliberately via `cargo run --example gen_golden`). This pins
-//! execution-model changes — like the work-stealing epoch scheduler —
-//! to history, not just to their own reruns, at every worker count.
+//! execution-model changes — like moving fleet epochs onto a new
+//! executor — to history, not just to their own reruns, at every worker count.
 
 use std::sync::{Arc, Mutex, PoisonError};
 
