@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use greenhetero_core::database::{PerfModel, Quadratic};
 use greenhetero_core::policies::PolicyKind;
-use greenhetero_core::solver::{AllocationProblem, ServerGroup};
+use greenhetero_core::solver::{AllocationProblem, FastPathConfig, ServerGroup, SolverFastPath};
 use greenhetero_core::types::{ConfigId, PowerRange, Throughput, Watts};
 use std::hint::black_box;
 
@@ -46,14 +46,23 @@ fn bench_policies(c: &mut Criterion) {
     let oracle =
         |per_server: &[Watts]| Throughput::new(per_server.iter().map(|w| w.value().sqrt()).sum());
 
+    // Without warm starts or a cache every solve is a cold one, so the
+    // solver-backed policies are timed on their full decision procedure.
+    let mut fast = SolverFastPath::new(FastPathConfig {
+        cache_capacity: 0,
+        warm_start: false,
+        ..FastPathConfig::default()
+    });
+
     let mut group = c.benchmark_group("policies");
     for kind in PolicyKind::ALL {
         let policy = kind.build();
         group.bench_function(kind.name(), |b| {
             b.iter(|| {
                 policy
-                    .allocate(black_box(&p), Some(&oracle))
+                    .allocate(black_box(&p), Some(&oracle), &mut fast)
                     .unwrap()
+                    .0
                     .projected
             })
         });

@@ -329,7 +329,7 @@ fn validate_snapshot(path: &PathBuf) -> Result<(), String> {
     if is_solver {
         // The fast path's reason to exist: warm solves must hold a 3×
         // median speedup over cold max-of-engines solves, and the
-        // quantized cache must actually hit on a revisiting sequence.
+        // allocation cache must actually hit on a revisiting sequence.
         gate_floor(
             "speedup_warm_p50",
             event.num("speedup_warm_p50").unwrap_or(0.0),
@@ -744,7 +744,7 @@ fn bench_fast_path(out: &PathBuf) {
     let warm_allocs = ALLOCATIONS.load(Ordering::Relaxed) - before_warm;
 
     // Cached: a short rotation of recurring problems with the warm gate
-    // off, so every answer flows through the quantized cache.
+    // off, so every answer flows through the allocation cache.
     let mut cached_path = SolverFastPath::new(FastPathConfig {
         warm_start: false,
         ..FastPathConfig::default()

@@ -1,6 +1,7 @@
 //! Controller configuration.
 
 use crate::error::CoreError;
+use crate::solver::FastPathConfig;
 use crate::types::{Ratio, SimDuration, Watts};
 
 /// Tunables of the GreenHetero controller, defaulting to the paper's
@@ -39,18 +40,10 @@ pub struct ControllerConfig {
     pub holt_retrain_epochs: u64,
     /// How many past observations the predictor trainer looks at.
     pub holt_history: usize,
-    /// Solver allocation-cache capacity in entries; 0 disables the cache.
-    /// The cache only accelerates lookups — seeded runs are bit-identical
-    /// with it on or off (DESIGN.md §11).
-    pub solver_cache_capacity: usize,
-    /// Enables the solver's epoch-to-epoch warm-start path.
-    pub solver_warm_start: bool,
-    /// Largest relative budget change, epoch over epoch, that still
-    /// qualifies for a warm-started solve.
-    pub solver_warm_budget_delta: Ratio,
-    /// Run the observe-only grid cross-check every this many solves on
-    /// the warm path; 0 disables sampling.
-    pub solver_cross_check_period: u64,
+    /// The solver fast path: allocation cache, warm starts and the sampled
+    /// cross-check. It only accelerates solves — seeded runs are
+    /// bit-identical with the cache on or off (DESIGN.md §11).
+    pub solver: FastPathConfig,
     /// Serve daemon: epoch-step panics a session survives before it is
     /// quarantined. `0` quarantines on the first panic.
     pub serve_restart_budget: u32,
@@ -77,10 +70,7 @@ impl Default for ControllerConfig {
             holt_grid_step: 0.05,
             holt_retrain_epochs: 24,
             holt_history: 192,
-            solver_cache_capacity: 64,
-            solver_warm_start: true,
-            solver_warm_budget_delta: Ratio::saturating(0.05),
-            solver_cross_check_period: 64,
+            solver: FastPathConfig::default(),
             serve_restart_budget: 3,
             serve_backoff_base_ms: 50,
             serve_backoff_cap_ms: 2_000,
@@ -169,10 +159,11 @@ mod tests {
     #[test]
     fn solver_fast_path_defaults() {
         let cfg = ControllerConfig::default();
-        assert_eq!(cfg.solver_cache_capacity, 64);
-        assert!(cfg.solver_warm_start);
-        assert!((cfg.solver_warm_budget_delta.value() - 0.05).abs() < 1e-12);
-        assert_eq!(cfg.solver_cross_check_period, 64);
+        assert_eq!(cfg.solver, FastPathConfig::default());
+        assert_eq!(cfg.solver.cache_capacity, 64);
+        assert!(cfg.solver.warm_start);
+        assert!((cfg.solver.warm_budget_delta.value() - 0.05).abs() < 1e-12);
+        assert_eq!(cfg.solver.cross_check_period, 64);
     }
 
     #[test]

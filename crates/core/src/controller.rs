@@ -18,8 +18,8 @@ use crate::error::CoreError;
 use crate::policies::{AllocationOracle, AllocationPolicy, PolicyKind};
 use crate::predictor::{train_or_default, HoltParams, Predictor};
 use crate::solver::{
-    allocation_is_sound, solve_grid, solve_uniform, Allocation, AllocationProblem, FastPathConfig,
-    ServerGroup, SharedSolveCache, SolveEngine, SolverFastPath,
+    allocation_is_sound, solve_grid, solve_uniform, Allocation, AllocationProblem, ServerGroup,
+    SharedSolveCache, SolveEngine, SolverFastPath,
 };
 use crate::sources::{select_sources, BatteryView, SourceInputs, SourcePlan};
 use crate::telemetry::{names, Counter, Histogram, SpanRecord, Telemetry};
@@ -288,17 +288,6 @@ impl ControllerMetrics {
     }
 }
 
-/// The engine label for policies that solve without reporting an engine:
-/// their strategy *is* the engine.
-fn policy_engine_label(kind: PolicyKind) -> &'static str {
-    match kind {
-        PolicyKind::Uniform => "uniform",
-        PolicyKind::Manual => "manual",
-        PolicyKind::GreenHeteroP => "greedy",
-        PolicyKind::GreenHeteroA | PolicyKind::GreenHetero => "solver",
-    }
-}
-
 /// The GreenHetero controller (one per rack, matching the paper's
 /// distributed rack-level deployment).
 pub struct Controller {
@@ -383,12 +372,7 @@ impl Controller {
         config.validate()?;
         let telemetry = Telemetry::default();
         let metrics = ControllerMetrics::new(&telemetry);
-        let fast = SolverFastPath::new(FastPathConfig {
-            cache_capacity: config.solver_cache_capacity,
-            warm_start: config.solver_warm_start,
-            warm_budget_delta: config.solver_warm_budget_delta,
-            cross_check_period: config.solver_cross_check_period,
-        });
+        let fast = SolverFastPath::new(config.solver);
         Ok(Controller {
             config,
             policy: policy.build(),
@@ -630,13 +614,9 @@ impl Controller {
         let (allocation, solve_level, engine) =
             match self
                 .policy
-                .allocate_traced_fast(&problem, effective_oracle, &mut self.fast)
+                .allocate(&problem, effective_oracle, &mut self.fast)
             {
-                Ok((a, traced)) if allocation_is_sound(&problem, &a) => {
-                    let engine = traced.map_or_else(
-                        || policy_engine_label(self.policy.kind()),
-                        SolveEngine::name,
-                    );
+                Ok((a, engine)) if allocation_is_sound(&problem, &a) => {
                     (a, DegradeLevel::Nominal, engine)
                 }
                 _ => {
@@ -1191,7 +1171,8 @@ mod tests {
                 &self,
                 _problem: &AllocationProblem,
                 _oracle: Option<&dyn AllocationOracle>,
-            ) -> Result<Allocation, CoreError> {
+                _fast: &mut SolverFastPath,
+            ) -> Result<(Allocation, &'static str), CoreError> {
                 Err(CoreError::EmptyProblem)
             }
         }

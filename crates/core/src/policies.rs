@@ -16,8 +16,7 @@ use std::fmt;
 
 use crate::error::CoreError;
 use crate::solver::{
-    solve, solve_uniform, solve_with_engine, Allocation, AllocationProblem, ShareLattice,
-    SolveEngine, SolverFastPath,
+    solve_uniform, Allocation, AllocationProblem, ShareLattice, SolveEngine, SolverFastPath,
 };
 use crate::types::{Ratio, Throughput, Watts};
 
@@ -42,10 +41,14 @@ pub trait AllocationPolicy: fmt::Debug + Send {
     /// Which of the five named policies this is.
     fn kind(&self) -> PolicyKind;
 
-    /// Computes the allocation for this epoch.
+    /// Computes the allocation for this epoch and names the engine that
+    /// produced it, the label the controller records.
     ///
     /// `oracle` is available only to measurement-driven policies (Manual);
-    /// model-driven policies must not rely on it being present.
+    /// model-driven policies must not rely on it being present. `fast` is
+    /// the caller's [`SolverFastPath`] (warm starts plus the allocation
+    /// cache): the solver-backed policies answer through it and report its
+    /// engine, the others ignore it and report their own strategy.
     ///
     /// # Errors
     ///
@@ -55,47 +58,13 @@ pub trait AllocationPolicy: fmt::Debug + Send {
         &self,
         problem: &AllocationProblem,
         oracle: Option<&dyn AllocationOracle>,
-    ) -> Result<Allocation, CoreError>;
+        fast: &mut SolverFastPath,
+    ) -> Result<(Allocation, &'static str), CoreError>;
 
     /// `true` if the controller should keep refitting the database with
     /// epoch feedback while running this policy (only full GreenHetero).
     fn updates_database(&self) -> bool {
         false
-    }
-
-    /// Like [`allocate`](AllocationPolicy::allocate), but also reports
-    /// which solver engine produced the answer, when the policy knows.
-    /// The default delegates to `allocate` and reports `None` — correct
-    /// for policies that do not run a solver engine.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`allocate`](AllocationPolicy::allocate).
-    fn allocate_traced(
-        &self,
-        problem: &AllocationProblem,
-        oracle: Option<&dyn AllocationOracle>,
-    ) -> Result<(Allocation, Option<SolveEngine>), CoreError> {
-        self.allocate(problem, oracle).map(|a| (a, None))
-    }
-
-    /// Like [`allocate_traced`](AllocationPolicy::allocate_traced), but
-    /// with access to the caller's [`SolverFastPath`] (warm starts plus
-    /// the allocation cache). The default ignores the fast path and
-    /// delegates — correct for policies that do not run a solver engine;
-    /// the solver-backed policies override it. Answers are bit-identical
-    /// to `allocate_traced` by the fast path's purity contract.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`allocate`](AllocationPolicy::allocate).
-    fn allocate_traced_fast(
-        &self,
-        problem: &AllocationProblem,
-        oracle: Option<&dyn AllocationOracle>,
-        _fast: &mut SolverFastPath,
-    ) -> Result<(Allocation, Option<SolveEngine>), CoreError> {
-        self.allocate_traced(problem, oracle)
     }
 }
 
@@ -190,16 +159,9 @@ impl AllocationPolicy for Uniform {
         &self,
         problem: &AllocationProblem,
         _oracle: Option<&dyn AllocationOracle>,
-    ) -> Result<Allocation, CoreError> {
-        Ok(solve_uniform(problem))
-    }
-
-    fn allocate_traced(
-        &self,
-        problem: &AllocationProblem,
-        _oracle: Option<&dyn AllocationOracle>,
-    ) -> Result<(Allocation, Option<SolveEngine>), CoreError> {
-        Ok((solve_uniform(problem), Some(SolveEngine::Uniform)))
+        _fast: &mut SolverFastPath,
+    ) -> Result<(Allocation, &'static str), CoreError> {
+        Ok((solve_uniform(problem), SolveEngine::Uniform.name()))
     }
 }
 
@@ -229,7 +191,8 @@ impl AllocationPolicy for Manual {
         &self,
         problem: &AllocationProblem,
         oracle: Option<&dyn AllocationOracle>,
-    ) -> Result<Allocation, CoreError> {
+        _fast: &mut SolverFastPath,
+    ) -> Result<(Allocation, &'static str), CoreError> {
         let mut best_assignment = vec![Watts::ZERO; problem.groups().len()];
         let mut best_value = evaluate(problem, oracle, &best_assignment);
         let mut assignment = best_assignment.clone();
@@ -248,7 +211,10 @@ impl AllocationPolicy for Manual {
                 std::mem::swap(&mut best_assignment, &mut assignment);
             }
         }
-        Ok(Allocation::from_assignment(problem, best_assignment))
+        Ok((
+            Allocation::from_assignment(problem, best_assignment),
+            "manual",
+        ))
     }
 }
 
@@ -281,7 +247,8 @@ impl AllocationPolicy for GreenHeteroP {
         &self,
         problem: &AllocationProblem,
         _oracle: Option<&dyn AllocationOracle>,
-    ) -> Result<Allocation, CoreError> {
+        _fast: &mut SolverFastPath,
+    ) -> Result<(Allocation, &'static str), CoreError> {
         let mut order: Vec<usize> = (0..problem.groups().len()).collect();
         order.sort_by(|&a, &b| {
             let ea = problem.groups()[a].model.peak_efficiency();
@@ -301,7 +268,7 @@ impl AllocationPolicy for GreenHeteroP {
             assignment[i] = grant / f64::from(g.count);
             left -= grant;
         }
-        Ok(Allocation::from_assignment(problem, assignment))
+        Ok((Allocation::from_assignment(problem, assignment), "greedy"))
     }
 }
 
@@ -319,25 +286,9 @@ impl AllocationPolicy for GreenHeteroA {
         &self,
         problem: &AllocationProblem,
         _oracle: Option<&dyn AllocationOracle>,
-    ) -> Result<Allocation, CoreError> {
-        solve(problem)
-    }
-
-    fn allocate_traced(
-        &self,
-        problem: &AllocationProblem,
-        _oracle: Option<&dyn AllocationOracle>,
-    ) -> Result<(Allocation, Option<SolveEngine>), CoreError> {
-        solve_with_engine(problem).map(|(a, e)| (a, Some(e)))
-    }
-
-    fn allocate_traced_fast(
-        &self,
-        problem: &AllocationProblem,
-        _oracle: Option<&dyn AllocationOracle>,
         fast: &mut SolverFastPath,
-    ) -> Result<(Allocation, Option<SolveEngine>), CoreError> {
-        fast.solve(problem).map(|(a, e)| (a, Some(e)))
+    ) -> Result<(Allocation, &'static str), CoreError> {
+        fast.solve(problem).map(|(a, e)| (a, e.name()))
     }
 }
 
@@ -355,27 +306,11 @@ impl AllocationPolicy for GreenHetero {
         &self,
         problem: &AllocationProblem,
         _oracle: Option<&dyn AllocationOracle>,
-    ) -> Result<Allocation, CoreError> {
-        solve(problem)
-    }
-
-    fn allocate_traced(
-        &self,
-        problem: &AllocationProblem,
-        _oracle: Option<&dyn AllocationOracle>,
-    ) -> Result<(Allocation, Option<SolveEngine>), CoreError> {
-        solve_with_engine(problem).map(|(a, e)| (a, Some(e)))
-    }
-
-    fn allocate_traced_fast(
-        &self,
-        problem: &AllocationProblem,
-        _oracle: Option<&dyn AllocationOracle>,
         fast: &mut SolverFastPath,
-    ) -> Result<(Allocation, Option<SolveEngine>), CoreError> {
+    ) -> Result<(Allocation, &'static str), CoreError> {
         // Online refits change model fingerprints, which the fast path's
         // warm gate and cache keys detect — no special handling needed.
-        fast.solve(problem).map(|(a, e)| (a, Some(e)))
+        fast.solve(problem).map(|(a, e)| (a, e.name()))
     }
 
     fn updates_database(&self) -> bool {
@@ -387,8 +322,20 @@ impl AllocationPolicy for GreenHetero {
 mod tests {
     use super::*;
     use crate::database::{PerfModel, Quadratic};
-    use crate::solver::ServerGroup;
+    use crate::solver::{solve_with_engine, ServerGroup};
     use crate::types::{ConfigId, PowerRange};
+
+    /// One single-shot decision: `policy` on a fresh fast path.
+    fn allocate(
+        policy: &dyn AllocationPolicy,
+        p: &AllocationProblem,
+        oracle: Option<&dyn AllocationOracle>,
+    ) -> Allocation {
+        policy
+            .allocate(p, oracle, &mut SolverFastPath::default())
+            .unwrap()
+            .0
+    }
 
     fn group(id: u32, count: u32, idle: f64, peak: f64, q: Quadratic) -> ServerGroup {
         ServerGroup::new(
@@ -434,7 +381,7 @@ mod tests {
     #[test]
     fn uniform_gives_equal_watts_per_server() {
         let p = case_study(220.0);
-        let alloc = Uniform.allocate(&p, None).unwrap();
+        let alloc = allocate(&Uniform, &p, None);
         assert_eq!(alloc.per_server[0], Watts::new(110.0));
         assert_eq!(alloc.per_server[1], Watts::new(110.0));
     }
@@ -464,7 +411,7 @@ mod tests {
             },
         );
         let p = AllocationProblem::new(vec![a, b], Watts::new(400.0)).unwrap();
-        let alloc = Uniform.allocate(&p, None).unwrap();
+        let alloc = allocate(&Uniform, &p, None);
         // 4 servers × 100 W each.
         assert_eq!(alloc.per_server[0], Watts::new(100.0));
         assert_eq!(alloc.per_server[1], Watts::new(100.0));
@@ -473,8 +420,8 @@ mod tests {
     #[test]
     fn manual_beats_uniform_on_heterogeneous_pair() {
         let p = case_study(220.0);
-        let manual = Manual::default().allocate(&p, None).unwrap();
-        let uniform = Uniform.allocate(&p, None).unwrap();
+        let manual = allocate(&Manual::default(), &p, None);
+        let uniform = allocate(&Uniform, &p, None);
         assert!(manual.projected > uniform.projected);
     }
 
@@ -484,7 +431,7 @@ mod tests {
         // An adversarial oracle that loves giving everything to group 1.
         let oracle =
             |per_server: &[Watts]| Throughput::new(per_server[1].value() - per_server[0].value());
-        let alloc = Manual::default().allocate(&p, Some(&oracle)).unwrap();
+        let alloc = allocate(&Manual::default(), &p, Some(&oracle));
         assert_eq!(alloc.per_server[0], Watts::ZERO);
         assert_eq!(alloc.per_server[1], Watts::new(220.0));
     }
@@ -492,8 +439,8 @@ mod tests {
     #[test]
     fn manual_lattice_is_coarser_than_solver() {
         let p = case_study(220.0);
-        let manual = Manual::default().allocate(&p, None).unwrap();
-        let full = GreenHetero.allocate(&p, None).unwrap();
+        let manual = allocate(&Manual::default(), &p, None);
+        let full = allocate(&GreenHetero, &p, None);
         // The 10 % lattice can at best tie the continuous solver.
         assert!(full.projected >= manual.projected);
         // Manual shares land on the 10 % lattice.
@@ -513,7 +460,7 @@ mod tests {
         let eff_xeon = p.groups()[0].model.peak_efficiency();
         let eff_i5 = p.groups()[1].model.peak_efficiency();
         assert!(eff_i5 > eff_xeon, "test premise: i5 more efficient");
-        let alloc = GreenHeteroP.allocate(&p, None).unwrap();
+        let alloc = allocate(&GreenHeteroP, &p, None);
         // i5 runs at its peak; the Xeon takes the remainder.
         assert_eq!(alloc.per_server[1], Watts::new(81.0));
         assert_eq!(alloc.per_server[0], Watts::new(139.0));
@@ -524,7 +471,7 @@ mod tests {
         // Tight budget: after filling the efficient server, the rest cannot
         // power on the big one → stranded watts (the Streamcluster effect).
         let p = case_study(120.0);
-        let alloc = GreenHeteroP.allocate(&p, None).unwrap();
+        let alloc = allocate(&GreenHeteroP, &p, None);
         assert_eq!(alloc.per_server[1], Watts::new(81.0));
         let leftover = alloc.per_server[0];
         assert!(
@@ -532,7 +479,7 @@ mod tests {
             "leftover {leftover} below Xeon idle"
         );
         // The full solver avoids the stranding.
-        let full = GreenHetero.allocate(&p, None).unwrap();
+        let full = allocate(&GreenHetero, &p, None);
         assert!(full.projected > alloc.projected);
     }
 
@@ -540,9 +487,9 @@ mod tests {
     fn solver_policies_beat_or_match_everything_on_models() {
         for budget in [120.0, 180.0, 220.0, 300.0] {
             let p = case_study(budget);
-            let full = GreenHetero.allocate(&p, None).unwrap().projected;
+            let full = allocate(&GreenHetero, &p, None).projected;
             for kind in PolicyKind::ALL {
-                let alloc = kind.build().allocate(&p, None).unwrap();
+                let alloc = allocate(kind.build().as_ref(), &p, None);
                 assert!(
                     full.value() >= alloc.projected.value() - 1e-6,
                     "{kind} beat GreenHetero at budget {budget}"
@@ -576,9 +523,17 @@ mod tests {
             let policy = kind.build();
             for budget in [220.0, 224.0, 300.0, 220.0] {
                 let p = case_study(budget);
-                let (slow, slow_engine) = policy.allocate_traced(&p, None).unwrap();
-                let (quick, quick_engine) =
-                    policy.allocate_traced_fast(&p, None, &mut fast).unwrap();
+                // The single-shot reference: the classic solve for the
+                // solver-backed policies, a fresh fast path otherwise.
+                let (slow, slow_engine) = match kind {
+                    PolicyKind::GreenHeteroA | PolicyKind::GreenHetero => {
+                        solve_with_engine(&p).map(|(a, e)| (a, e.name())).unwrap()
+                    }
+                    _ => policy
+                        .allocate(&p, None, &mut SolverFastPath::default())
+                        .unwrap(),
+                };
+                let (quick, quick_engine) = policy.allocate(&p, None, &mut fast).unwrap();
                 assert_eq!(slow, quick, "{kind} at {budget}");
                 assert_eq!(slow_engine, quick_engine, "{kind} at {budget}");
             }
@@ -590,7 +545,7 @@ mod tests {
     fn zero_budget_allocations_are_all_zero() {
         let p = case_study(0.0);
         for kind in PolicyKind::ALL {
-            let alloc = kind.build().allocate(&p, None).unwrap();
+            let alloc = allocate(kind.build().as_ref(), &p, None);
             assert!(
                 alloc.per_server.iter().all(|w| w.is_zero()),
                 "{kind} allocated from an empty budget"

@@ -55,8 +55,8 @@ use crate::solver::scratch::SolverScratch;
 use crate::solver::{solve_exact_with, solve_with_engine_scratch, SolveEngine};
 use crate::types::Ratio;
 
-/// Tunables of the solver fast path; defaults mirror
-/// [`ControllerConfig`](crate::config::ControllerConfig).
+/// Tunables of the solver fast path, carried by
+/// [`ControllerConfig::solver`](crate::config::ControllerConfig::solver).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FastPathConfig {
     /// Allocation-cache capacity in entries; 0 disables the cache.

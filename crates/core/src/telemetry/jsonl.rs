@@ -1,15 +1,17 @@
-//! The JSONL event-log sink, and the reader that replays such a log back
-//! into counter totals.
+//! The flat-JSON codec, the JSONL event-log sink, and the reader that
+//! replays such a log back into counter totals.
 //!
-//! One [`EpochEvent`](crate::telemetry::EpochEvent) becomes one line of
-//! flat JSON (see [`EpochEvent::to_json_line`]); the reader side parses
-//! those lines without any external JSON dependency (the schema is flat:
-//! no nested objects or arrays) and recomputes the totals the live
-//! counters accumulated, which is how tests prove the exported log is a
-//! faithful account of the run.
+//! [`JsonObject`] writes one flat object and [`EventLine`] reads one back,
+//! without any external JSON dependency (the schema is flat: no nested
+//! objects or arrays). One [`EpochEvent`](crate::telemetry::EpochEvent)
+//! becomes one such line (see [`EpochEvent::to_json_line`]), and so does
+//! every frame of the serve wire protocol. The reader recomputes the
+//! totals the live counters accumulated, which is how tests prove the
+//! exported log is a faithful account of the run.
 //!
 //! [`EpochEvent::to_json_line`]: crate::telemetry::EpochEvent::to_json_line
 
+use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
@@ -63,6 +65,100 @@ impl TelemetrySink for JsonlSink {
         let mut out = self.out.lock().unwrap_or_else(PoisonError::into_inner);
         let _ = writeln!(out, "{line}");
         let _ = out.flush();
+    }
+}
+
+/// Escapes `s` for embedding in a JSON string literal.
+fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// An incrementally built flat JSON object: string, number, and bool
+/// fields only, rendered in insertion order. Keys are written verbatim.
+#[derive(Debug, Default)]
+pub struct JsonObject {
+    buf: String,
+}
+
+impl JsonObject {
+    /// An empty object.
+    #[must_use]
+    pub fn new() -> Self {
+        JsonObject::default()
+    }
+
+    /// Opens the next field: a separator, then `"key":`.
+    fn key(&mut self, key: &str) -> &mut String {
+        self.buf.push(if self.buf.is_empty() { '{' } else { ',' });
+        self.buf.push('"');
+        self.buf.push_str(key);
+        self.buf.push_str("\":");
+        &mut self.buf
+    }
+
+    /// Adds a string field (escaped).
+    pub fn str(&mut self, key: &str, value: &str) -> &mut Self {
+        let buf = self.key(key);
+        buf.push('"');
+        buf.push_str(&json_escape(value));
+        buf.push('"');
+        self
+    }
+
+    /// Adds an unsigned integer field.
+    pub fn u64(&mut self, key: &str, value: u64) -> &mut Self {
+        let _ = write!(self.key(key), "{value}");
+        self
+    }
+
+    /// Adds a float field with full-precision `Display` rendering
+    /// (shortest round-trip, so byte equality is bit equality);
+    /// non-finite values render as `null`.
+    // greenhetero-lint: allow(GH002) JSON numbers are untyped by nature; callers unwrap their newtypes
+    pub fn f64(&mut self, key: &str, value: f64) -> &mut Self {
+        let buf = self.key(key);
+        if value.is_finite() {
+            let _ = write!(buf, "{value}");
+        } else {
+            buf.push_str("null");
+        }
+        self
+    }
+
+    /// Adds a boolean field.
+    pub fn bool(&mut self, key: &str, value: bool) -> &mut Self {
+        self.key(key).push_str(if value { "true" } else { "false" });
+        self
+    }
+
+    /// Adds an explicit `null` field.
+    pub fn null(&mut self, key: &str) -> &mut Self {
+        self.key(key).push_str("null");
+        self
+    }
+
+    /// Renders the object.
+    #[must_use]
+    pub fn finish(mut self) -> String {
+        if self.buf.is_empty() {
+            self.buf.push('{');
+        }
+        self.buf.push('}');
+        self.buf
     }
 }
 
@@ -221,8 +317,49 @@ fn parse_value(input: &str) -> Option<(JsonValue, &str)> {
     let end = input
         .find(|c: char| c == ',' || c == '}' || c.is_whitespace())
         .unwrap_or(input.len());
-    let number: f64 = input[..end].parse().ok()?;
+    let token = &input[..end];
+    if !is_json_number(token) {
+        return None;
+    }
+    let number: f64 = token.parse().ok()?;
     Some((JsonValue::Num(number), &input[end..]))
+}
+
+/// `true` when `token` matches RFC 8259's number grammar,
+/// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`. `f64::from_str` alone
+/// would also take `NaN`, `inf`, `+1`, `.5`, `1.` and `01`.
+fn is_json_number(token: &str) -> bool {
+    fn digits(s: &[u8]) -> usize {
+        s.iter().take_while(|b| b.is_ascii_digit()).count()
+    }
+    let mut rest = token.as_bytes();
+    if let [b'-', tail @ ..] = rest {
+        rest = tail;
+    }
+    let int = digits(rest);
+    if int == 0 || (int > 1 && rest[0] == b'0') {
+        return false;
+    }
+    rest = &rest[int..];
+    if let [b'.', tail @ ..] = rest {
+        let frac = digits(tail);
+        if frac == 0 {
+            return false;
+        }
+        rest = &tail[frac..];
+    }
+    if let [b'e' | b'E', tail @ ..] = rest {
+        let tail = match tail {
+            [b'+' | b'-', signed @ ..] => signed,
+            unsigned => unsigned,
+        };
+        let exp = digits(tail);
+        if exp == 0 {
+            return false;
+        }
+        rest = &tail[exp..];
+    }
+    rest.is_empty()
 }
 
 /// Counter totals recomputed from an exported JSONL event log — the
@@ -375,6 +512,50 @@ mod tests {
         assert!(EventLine::parse("{\"a\":}").is_none());
         assert!(EventLine::parse("{\"a\"").is_none());
         assert!(EventLine::parse("{}").is_some());
+        // Only RFC 8259 numbers: no NaN, infinities, explicit plus, bare
+        // or trailing point, or leading zero.
+        for token in [
+            "NaN", "nan", "inf", "-inf", "infinity", "Infinity", "+1", ".5", "1.", "01", "-01",
+            "-", "1e", "1e+", "0x10", "1_000",
+        ] {
+            let line = format!("{{\"a\":{token}}}");
+            assert!(EventLine::parse(&line).is_none(), "accepted {line}");
+        }
+        for (token, value) in [
+            ("1e5", 1e5_f64),
+            ("-0.5", -0.5),
+            ("0", 0.0),
+            ("-0", -0.0),
+            ("2.5E-3", 2.5e-3),
+            ("10e+2", 10e2),
+        ] {
+            let line = format!("{{\"a\":{token}}}");
+            let parsed = EventLine::parse(&line).unwrap_or_else(|| panic!("rejected {line}"));
+            assert_eq!(parsed.num("a").map(f64::to_bits), Some(value.to_bits()));
+        }
+    }
+
+    #[test]
+    fn escape_round_trips() {
+        let nasty = "a\"b\\c\nd\te\r\u{1}f/\u{7f}é";
+        let line = format!("{{\"s\":\"{}\"}}", json_escape(nasty));
+        assert_eq!(EventLine::parse(&line).unwrap().text("s"), Some(nasty));
+    }
+
+    #[test]
+    fn json_object_renders_flat() {
+        let mut o = JsonObject::new();
+        o.bool("ok", true)
+            .str("name", "s\"1")
+            .u64("cursor", 42)
+            .f64("soc", 0.5)
+            .f64("bad", f64::NAN)
+            .null("par");
+        assert_eq!(
+            o.finish(),
+            r#"{"ok":true,"name":"s\"1","cursor":42,"soc":0.5,"bad":null,"par":null}"#
+        );
+        assert_eq!(JsonObject::new().finish(), "{}");
     }
 
     #[test]

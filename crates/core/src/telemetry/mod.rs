@@ -30,7 +30,7 @@ pub mod sink;
 
 use std::sync::Arc;
 
-pub use jsonl::{replay_totals, EventLine, JsonValue, JsonlSink, ReplayTotals};
+pub use jsonl::{replay_totals, EventLine, JsonObject, JsonValue, JsonlSink, ReplayTotals};
 pub use ledger::{CounterSnapshot, GaugeSnapshot, HistogramSnapshot, RunLedger};
 pub use registry::{Counter, Gauge, Histogram, Registry};
 pub use sink::{CollectingSink, EpochEvent, NoopSink, SpanRecord, TelemetrySink};

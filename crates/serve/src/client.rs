@@ -4,9 +4,9 @@
 use std::net::TcpStream;
 use std::time::Duration;
 
-use greenhetero_core::telemetry::EventLine;
+use greenhetero_core::telemetry::{EventLine, JsonObject};
 
-use crate::proto::{read_frame, write_frame, FrameError, JsonObject, DEFAULT_MAX_FRAME_LEN};
+use crate::proto::{read_frame, write_frame, FrameError, DEFAULT_MAX_FRAME_LEN};
 use crate::spec::SessionSpec;
 
 /// One connection to a running [`Daemon`](crate::Daemon).

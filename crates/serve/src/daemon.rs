@@ -17,10 +17,10 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use greenhetero_core::error::CoreError;
-use greenhetero_core::telemetry::{names, EventLine, Telemetry};
+use greenhetero_core::telemetry::{names, EventLine, JsonObject, Telemetry};
 use greenhetero_power::solar;
 
-use crate::proto::{error_frame, read_frame, write_frame, FrameError, JsonObject};
+use crate::proto::{error_frame, read_frame, write_frame, FrameError};
 use crate::spec::SessionSpec;
 use crate::supervisor::{DrainReport, Supervisor, SupervisorLimits};
 use crate::ServeClock;

@@ -1,15 +1,17 @@
-//! The wire protocol: length-prefixed JSON frames plus flat-JSON
-//! rendering helpers.
+//! The wire protocol: length-prefixed JSON frames.
 //!
 //! Every frame is a 4-byte big-endian length followed by that many
-//! bytes of UTF-8, one flat JSON object per frame (no nesting — the
-//! same shape [`greenhetero_core::telemetry::EventLine`] parses).
+//! bytes of UTF-8, one flat JSON object per frame (no nesting): written
+//! with [`JsonObject`] and read with
+//! [`greenhetero_core::telemetry::EventLine`], the telemetry codec.
 //! Frames above the configured maximum, empty frames, and non-UTF-8
 //! payloads are *malformed*: the daemon answers with an error frame
 //! when it can and closes only the offending connection.
 
 use std::fmt;
 use std::io::{Read, Write};
+
+use greenhetero_core::telemetry::JsonObject;
 
 /// Default upper bound on a frame's payload, in bytes.
 pub const DEFAULT_MAX_FRAME_LEN: usize = 64 * 1024;
@@ -103,153 +105,6 @@ pub fn read_frame<R: Read>(r: &mut R, max_len: usize) -> Result<String, FrameErr
     String::from_utf8(payload).map_err(|_| FrameError::Malformed("frame is not UTF-8".into()))
 }
 
-/// Escapes `s` for embedding in a JSON string literal.
-#[must_use]
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Undoes [`json_escape`] (the escapes this module emits, plus `\/`).
-/// Unknown escapes are kept verbatim rather than rejected.
-#[must_use]
-pub fn json_unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('"') => out.push('"'),
-            Some('\\') => out.push('\\'),
-            Some('/') => out.push('/'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                match u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                    Some(decoded) => out.push(decoded),
-                    None => {
-                        out.push_str("\\u");
-                        out.push_str(&hex);
-                    }
-                }
-            }
-            Some(other) => {
-                out.push('\\');
-                out.push(other);
-            }
-            None => out.push('\\'),
-        }
-    }
-    out
-}
-
-/// An incrementally built flat JSON object: string, number, and bool
-/// fields only, rendered in insertion order.
-#[derive(Debug, Default)]
-pub struct JsonObject {
-    buf: String,
-}
-
-impl JsonObject {
-    /// An empty object.
-    #[must_use]
-    pub fn new() -> Self {
-        JsonObject::default()
-    }
-
-    fn sep(&mut self) {
-        if self.buf.is_empty() {
-            self.buf.push('{');
-        } else {
-            self.buf.push(',');
-        }
-    }
-
-    /// Adds a string field (escaped).
-    pub fn str(&mut self, key: &str, value: &str) -> &mut Self {
-        self.sep();
-        self.buf.push('"');
-        self.buf.push_str(key);
-        self.buf.push_str("\":\"");
-        self.buf.push_str(&json_escape(value));
-        self.buf.push('"');
-        self
-    }
-
-    /// Adds an unsigned integer field.
-    pub fn u64(&mut self, key: &str, value: u64) -> &mut Self {
-        self.sep();
-        self.buf.push('"');
-        self.buf.push_str(key);
-        self.buf.push_str("\":");
-        self.buf.push_str(&value.to_string());
-        self
-    }
-
-    /// Adds a float field with full-precision `Display` rendering
-    /// (shortest round-trip, so byte equality is bit equality);
-    /// non-finite values render as `null`.
-    pub fn f64(&mut self, key: &str, value: f64) -> &mut Self {
-        self.sep();
-        self.buf.push('"');
-        self.buf.push_str(key);
-        self.buf.push_str("\":");
-        if value.is_finite() {
-            self.buf.push_str(&value.to_string());
-        } else {
-            self.buf.push_str("null");
-        }
-        self
-    }
-
-    /// Adds a boolean field.
-    pub fn bool(&mut self, key: &str, value: bool) -> &mut Self {
-        self.sep();
-        self.buf.push('"');
-        self.buf.push_str(key);
-        self.buf.push_str("\":");
-        self.buf.push_str(if value { "true" } else { "false" });
-        self
-    }
-
-    /// Adds an explicit `null` field.
-    pub fn null(&mut self, key: &str) -> &mut Self {
-        self.sep();
-        self.buf.push('"');
-        self.buf.push_str(key);
-        self.buf.push_str("\":null");
-        self
-    }
-
-    /// Renders the object.
-    #[must_use]
-    pub fn finish(mut self) -> String {
-        if self.buf.is_empty() {
-            self.buf.push('{');
-        }
-        self.buf.push('}');
-        self.buf
-    }
-}
-
 /// Shorthand for the daemon's error responses: `{"ok":false,...}` with
 /// a machine-readable `reason` tag and a human-readable `error`.
 #[must_use]
@@ -315,28 +170,6 @@ mod tests {
             read_frame(&mut &buf[..], 1024),
             Err(FrameError::Malformed(_))
         ));
-    }
-
-    #[test]
-    fn escape_round_trips() {
-        let nasty = "a\"b\\c\nd\te\r\u{1}f";
-        assert_eq!(json_unescape(&json_escape(nasty)), nasty);
-    }
-
-    #[test]
-    fn json_object_renders_flat() {
-        let mut o = JsonObject::new();
-        o.bool("ok", true)
-            .str("name", "s\"1")
-            .u64("cursor", 42)
-            .f64("soc", 0.5)
-            .f64("bad", f64::NAN)
-            .null("par");
-        assert_eq!(
-            o.finish(),
-            r#"{"ok":true,"name":"s\"1","cursor":42,"soc":0.5,"bad":null,"par":null}"#
-        );
-        assert_eq!(JsonObject::new().finish(), "{}");
     }
 
     #[test]

@@ -29,13 +29,12 @@ use std::time::Duration;
 use greenhetero_core::database::PerfDatabase;
 use greenhetero_core::error::CoreError;
 use greenhetero_core::solver::SharedSolveCache;
-use greenhetero_core::telemetry::{names, Telemetry};
+use greenhetero_core::telemetry::{names, JsonObject, Telemetry};
 use greenhetero_power::solar::synthesize_shared;
 use greenhetero_server::rack::Rack;
 use greenhetero_sim::engine::{Simulation, Stepper};
 use greenhetero_sim::sched::{PollTask, TaskPoll};
 
-use crate::proto::JsonObject;
 use crate::spec::{decision_line, SessionSpec};
 use crate::ServeClock;
 

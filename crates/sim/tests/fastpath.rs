@@ -50,11 +50,11 @@ fn cache_on_and_off_are_bit_identical() {
     for policy in [PolicyKind::GreenHetero, PolicyKind::GreenHeteroA] {
         let base = tiny(policy);
         let mut no_cache = tiny(policy);
-        no_cache.controller.solver_cache_capacity = 0;
+        no_cache.controller.solver.cache_capacity = 0;
         assert_identical(base, no_cache, "paper cache-off");
 
         let mut tiny_cache = tiny(policy);
-        tiny_cache.controller.solver_cache_capacity = 2;
+        tiny_cache.controller.solver.cache_capacity = 2;
         assert_identical(tiny(policy), tiny_cache, "paper cache-resized");
     }
 }
@@ -63,7 +63,7 @@ fn cache_on_and_off_are_bit_identical() {
 fn cache_on_and_off_are_bit_identical_under_chaos() {
     let base = chaos(PolicyKind::GreenHetero);
     let mut no_cache = chaos(PolicyKind::GreenHetero);
-    no_cache.controller.solver_cache_capacity = 0;
+    no_cache.controller.solver.cache_capacity = 0;
     assert_identical(base, no_cache, "chaos cache-off");
 }
 
@@ -71,11 +71,11 @@ fn cache_on_and_off_are_bit_identical_under_chaos() {
 fn cross_check_sampling_is_observe_only() {
     let base = tiny(PolicyKind::GreenHetero);
     let mut no_cross_check = tiny(PolicyKind::GreenHetero);
-    no_cross_check.controller.solver_cross_check_period = 0;
+    no_cross_check.controller.solver.cross_check_period = 0;
     assert_identical(base, no_cross_check, "cross-check-off");
 
     let mut aggressive = tiny(PolicyKind::GreenHetero);
-    aggressive.controller.solver_cross_check_period = 1;
+    aggressive.controller.solver.cross_check_period = 1;
     assert_identical(
         tiny(PolicyKind::GreenHetero),
         aggressive,

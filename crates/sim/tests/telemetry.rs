@@ -4,6 +4,7 @@
 use std::io::Write;
 use std::sync::{Arc, Mutex, PoisonError};
 
+use greenhetero_core::controller::DegradeLevel;
 use greenhetero_core::policies::PolicyKind;
 use greenhetero_core::telemetry::{names, replay_totals, CollectingSink, EventLine, JsonlSink};
 use greenhetero_sim::engine::run_scenario;
@@ -172,6 +173,40 @@ fn jsonl_replay_matches_ledger_counters() {
     // refits keep it cold, so engagement shows up as cache misses).
     assert!(totals.engine_exact + totals.engine_grid > 0);
     assert!(totals.warm_starts + totals.cache_hits + totals.cache_misses > 0);
+}
+
+#[test]
+fn every_policy_labels_its_nominal_epochs() {
+    for policy in PolicyKind::ALL {
+        let sink = Arc::new(CollectingSink::new());
+        let mut scenario = tiny(policy);
+        scenario.telemetry = TelemetrySpec::Sink(sink.clone());
+        run_scenario(scenario).expect("simulation runs");
+
+        let epochs = sink.epochs();
+        assert!(
+            epochs.iter().all(|e| e.engine != "solver"),
+            "{policy}: an epoch is labelled solver"
+        );
+        let nominal: Vec<&str> = epochs
+            .iter()
+            .filter(|e| !e.training && e.degrade == DegradeLevel::Nominal)
+            .map(|e| e.engine)
+            .collect();
+        assert!(!nominal.is_empty(), "{policy}: no nominal epoch");
+        let allowed: &[&str] = match policy {
+            PolicyKind::Uniform => &["uniform"],
+            PolicyKind::Manual => &["manual"],
+            PolicyKind::GreenHeteroP => &["greedy"],
+            PolicyKind::GreenHeteroA | PolicyKind::GreenHetero => &["exact", "grid"],
+        };
+        for engine in nominal {
+            assert!(
+                allowed.contains(&engine),
+                "{policy}: nominal epoch labelled {engine}"
+            );
+        }
+    }
 }
 
 #[test]
